@@ -11,7 +11,7 @@ seconds) plus a seeded progen mix it measures:
   request re-enters the pipeline (``split_source`` → a freshly
   rehydrated ``SplitProgram`` from the content-addressed split cache →
   a cold :class:`RuntimeImage` → one run).  All per-program work
-  (closure tiering, key derivation, ACL precomputation, host
+  (fragment compilation, key derivation, ACL precomputation, host
   construction) is paid per request.
 * **pooled** — the session engine: one shared
   :class:`~repro.runtime.session.RuntimeImage`, a recycled

@@ -1,34 +1,32 @@
 """Fragment compilation: lower fragment bodies to Python closures.
 
-The interpreter in :mod:`host` walks the IR expression tree and
-``isinstance``-dispatches every op on every step.  Fragment bodies are
-straight-line and immutable once the splitter has produced them, so all
-of that dispatch can be resolved **once**: this module compiles each
-expression into a closure ``fn(host, frame) -> value``, each op into a
-closure ``fn(host, state) -> None``, and each terminator into a closure
-``fn(host, state) -> Optional[ExecutionState]``.
+This is the hosts' only execution path.  Fragment bodies are
+straight-line and immutable once the splitter has produced them, so the
+``isinstance`` dispatch over IR nodes is resolved **once**: this module
+compiles each expression into a closure ``fn(host, frame) -> value``,
+each op into a closure ``fn(host, state) -> None``, and each terminator
+into a closure ``fn(host, state) -> Optional[ExecutionState]``.
 
 Closures take the executing host as a parameter rather than closing over
 it, so a split program is compiled once and shared by every
 :class:`~repro.runtime.host.TrustedHost` built from it (the compiled
-form is memoized on the ``SplitProgram`` object).
+form is memoized on the ``SplitProgram`` object).  ``run_chain``
+compiles a fragment on its first entry, so building a runtime image
+does no compile work.
 
-Semantics are identical to the interpreter by construction — every
-closure body is the corresponding interpreter branch with the dispatch
-hoisted out — and ``tests/runtime/test_compiled_differential.py`` checks
-this by running seeded programs both ways.  Set ``REPRO_COMPILE=0`` to
-fall back to the tree-walking interpreter (useful for debugging and for
-the differential tests themselves).
+A tree-walking reference interpreter lives in the test suite
+(``tests/runtime/interpreter.py``); the differential tests in
+``tests/runtime/test_compiled_differential.py`` run seeded programs
+through both and require bit-identical observables.
 
-Operation accounting is unchanged: ``run_chain`` charges
-``len(fragment.ops) + 1`` simulated ops per fragment either way, so
-message counts and simulated times are bit-identical across modes.
+Operation accounting: ``run_chain`` charges ``len(fragment.ops) + 1``
+simulated ops per fragment, the same count the reference interpreter
+charges, so message counts and simulated times match it exactly.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from ..labels import Label
 from ..splitter import ir
@@ -53,11 +51,6 @@ ExprFn = Callable[[Any, Any], Any]
 OpFn = Callable[[Any, Any], None]
 #: ``fn(host, state) -> Optional[ExecutionState]``
 TermFn = Callable[[Any, Any], Any]
-
-
-def compilation_enabled() -> bool:
-    """Honour the ``REPRO_COMPILE`` escape hatch (default: on)."""
-    return os.environ.get("REPRO_COMPILE", "1") != "0"
 
 
 # ----------------------------------------------------------------------
@@ -309,8 +302,7 @@ class CompiledFragment:
 
     def __init__(self, fragment: Fragment) -> None:
         self.host = fragment.host
-        #: same accounting as the interpreter: one simulated op per IR
-        #: op plus one for the terminator.
+        #: one simulated op per IR op plus one for the terminator.
         self.charge = len(fragment.ops) + 1
         self.ops: Tuple[OpFn, ...] = tuple(
             compile_op(op) for op in fragment.ops
@@ -318,41 +310,18 @@ class CompiledFragment:
         self.terminator: TermFn = compile_terminator(fragment.terminator)
 
 
-class CompiledProgram:
-    """Per-split compiled-fragment cache plus tiering counters.
+def compile_split(split: SplitProgram) -> Dict[str, CompiledFragment]:
+    """The compiled-fragment cache of a split program (entry ->
+    :class:`CompiledFragment`), memoized on ``split``.
 
-    ``run_chain`` interprets a fragment's first execution and compiles
-    it when it is entered a second time (``heat`` tracks first
-    entries), so one-shot fragments never pay closure construction
-    while loop bodies and repeatedly-called fragments run compiled.
+    All hosts built from the same ``SplitProgram`` share one cache; the
+    closures receive the executing host as a parameter.  The cache
+    starts empty and ``run_chain`` fills it as each fragment is first
+    entered, so a fragment altered *between* splitting and execution —
+    the fault-injection tests do this deliberately — is compiled as
+    altered.  Fragments are assumed immutable once running.
     """
-
-    __slots__ = ("fragments", "heat")
-
-    def __init__(self) -> None:
-        self.fragments: Dict[str, CompiledFragment] = {}
-        self.heat: Dict[str, int] = {}
-
-    def get(self, entry: str) -> Optional[CompiledFragment]:
-        return self.fragments.get(entry)
-
-    def __setitem__(self, entry: str, fragment: CompiledFragment) -> None:
-        self.fragments[entry] = fragment
-
-
-def compile_split(split: SplitProgram) -> CompiledProgram:
-    """The compiled-fragment cache of a split program, memoized on
-    ``split``.
-
-    All hosts built from the same ``SplitProgram`` share one compiled
-    form; the closures receive the executing host as a parameter.
-    Entries are filled lazily (second execution of each fragment, see
-    ``run_chain``) so a fragment altered *between* splitting and
-    execution — the fault-injection tests do this deliberately — is
-    compiled as altered.  Fragments are assumed immutable once running.
-    """
-    cached: Optional[CompiledProgram] = getattr(split, "_compiled", None)
+    cached = getattr(split, "_compiled", None)
     if cached is None:
-        cached = CompiledProgram()
-        split._compiled = cached
+        cached = split._compiled = {}
     return cached

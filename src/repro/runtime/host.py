@@ -39,18 +39,9 @@ from ..labels import Label
 from ..splitter.fragments import (
     EdgeAction,
     Fragment,
-    OpAssignVar,
-    OpForward,
-    OpSetElem,
-    OpSetField,
     SplitProgram,
-    TermBranch,
     TermCall,
-    TermHalt,
-    TermJump,
-    TermReturn,
 )
-from ..splitter import ir
 from ..trust import KeyRegistry
 from .checkpoint import (
     CheckpointTamperError,
@@ -58,11 +49,11 @@ from .checkpoint import (
     copy_state,
     recovery_blob,
 )
-from .compiler import CompiledFragment, compilation_enabled, compile_split
+from .compiler import CompiledFragment, compile_split
 from .ics import LocalStack
 from .network import Message, SecurityAbort, Transport
 from .tokens import Token, TokenFactory
-from .values import REJECTED, ArrayRef, FrameID, ObjectRef, ReturnInfo
+from .values import REJECTED, ArrayRef, FrameID, ReturnInfo
 
 #: Re-export of :data:`repro.runtime.values.REJECTED` under its
 #: historical name (tests and the attack harness import it from here).
@@ -164,13 +155,10 @@ class TrustedHost:
         #: latest recovery announcement (epoch, seq) seen per peer —
         #: lets stale re-deliveries of genuine announcements be no-ops.
         self.peer_epochs: Dict[str, Tuple[int, int]] = {}
-        #: fragments lowered to closures (shared across hosts via the
-        #: split program); None when REPRO_COMPILE=0 selects the
-        #: tree-walking interpreter.
-        self._compiled = (
-            image.compiled
-            if image is not None
-            else (compile_split(split) if compilation_enabled() else None)
+        #: fragments lowered to closures, compiled on first entry and
+        #: shared across hosts via the split program.
+        self._compiled: Dict[str, CompiledFragment] = (
+            image.compiled if image is not None else compile_split(split)
         )
         self.checkpoint_interval = checkpoint_interval
         #: stable storage (WAL + sealed checkpoints).  Only materialized
@@ -860,44 +848,19 @@ class TrustedHost:
     def run_chain(self, state: ExecutionState) -> None:
         """Execute fragments locally until control leaves this host.
 
-        Uses the compiled fragment bodies when available (the default);
-        ``REPRO_COMPILE=0`` selects the tree-walking interpreter below.
-        Both paths charge identical simulated ops, so message counts and
-        simulated times never depend on the mode.
+        Each fragment is compiled on its first entry (the compiled form
+        is shared by every host and session over the split program) and
+        charged ``len(fragment.ops) + 1`` simulated ops.
         """
         compiled = self._compiled
-        if compiled is None:
-            return self._run_chain_interpreted(state)
         charge_ops = self.network.charge_ops
-        heat = compiled.heat
         while True:
             entry = state.entry
             fragment = compiled.get(entry)
             if fragment is None:
-                # Tiered execution: interpret a fragment's first run,
-                # compile it the moment it turns out to be re-entered
-                # (loops, repeated calls).  One-shot fragments — the
-                # common case in straight-line code — never pay closure
-                # construction.
-                count = heat.get(entry, 0) + 1
-                if count >= 2:
-                    fragment = compiled[entry] = CompiledFragment(
-                        self.split.fragments[entry]
-                    )
-                else:
-                    heat[entry] = count
-                    source = self.split.fragments[entry]
-                    assert source.host == self.name, (
-                        f"{self.name} asked to run {entry}"
-                    )
-                    charge_ops(len(source.ops) + 1)
-                    for op in source.ops:
-                        self._run_op(op, state)
-                    next_state = self._run_terminator(source, state)
-                    if next_state is None:
-                        return
-                    state = next_state
-                    continue
+                fragment = compiled[entry] = CompiledFragment(
+                    self.split.fragments[entry]
+                )
             assert fragment.host == self.name, (
                 f"{self.name} asked to run {entry}"
             )
@@ -908,52 +871,6 @@ class TrustedHost:
             if next_state is None:
                 return
             state = next_state
-
-    def _run_chain_interpreted(self, state: ExecutionState) -> None:
-        """The original interpreter loop (REPRO_COMPILE=0)."""
-        while True:
-            fragment = self.split.fragments[state.entry]
-            assert fragment.host == self.name, (
-                f"{self.name} asked to run {state.entry}"
-            )
-            self.network.charge_ops(len(fragment.ops) + 1)
-            for op in fragment.ops:
-                self._run_op(op, state)
-            next_state = self._run_terminator(fragment, state)
-            if next_state is None:
-                return
-            state = next_state
-
-    def _run_op(self, op, state: ExecutionState) -> None:
-        if isinstance(op, OpAssignVar):
-            self.set_var(state.frame, op.var, self.eval(op.expr, state.frame))
-        elif isinstance(op, OpSetField):
-            value = self.eval(op.expr, state.frame)
-            oid = None
-            if op.obj is not None:
-                ref = self.eval(op.obj, state.frame)
-                if ref is None:
-                    raise RuntimeError("null dereference in field write")
-                oid = ref.oid
-            self.write_field(op.cls, op.field, oid, value)
-        elif isinstance(op, OpSetElem):
-            ref = self.eval(op.array, state.frame)
-            index = self.eval(op.index, state.frame)
-            value = self.eval(op.expr, state.frame)
-            self.write_element(ref, index, value)
-        elif isinstance(op, OpForward):
-            value = self.var(state.frame, op.var)
-            plan = self.split.methods[state.frame.method_key]
-            label = plan.var_labels.get(op.var, Label.constant())
-            slot = (state.frame.fid, op.var)
-            for target in op.hosts:
-                if target == self.name:
-                    continue
-                self.defer_forward(target, slot, value, label, state.frame)
-            if self.opt_level == 0:
-                self.flush_forwards(piggyback_for=None)
-        else:
-            raise AssertionError(f"unknown op {op!r}")
 
     # -- data forwarding ----------------------------------------------------------
 
@@ -1019,24 +936,6 @@ class TrustedHost:
         return piggyback
 
     # -- terminators ---------------------------------------------------------------
-
-    def _run_terminator(
-        self, fragment: Fragment, state: ExecutionState
-    ) -> Optional[ExecutionState]:
-        terminator = fragment.terminator
-        if isinstance(terminator, TermJump):
-            return self._run_plan(terminator.plan, state)
-        if isinstance(terminator, TermBranch):
-            cond = self.eval(terminator.cond, state.frame)
-            plan = terminator.plan_true if cond else terminator.plan_false
-            return self._run_plan(plan, state)
-        if isinstance(terminator, TermCall):
-            return self._run_call(terminator, state)
-        if isinstance(terminator, TermReturn):
-            return self._run_return(terminator, state)
-        if isinstance(terminator, TermHalt):
-            raise HaltSignal()
-        raise AssertionError(f"unknown terminator {terminator!r}")
 
     def _run_plan(
         self, plan: List[EdgeAction], state: ExecutionState
@@ -1140,24 +1039,13 @@ class TrustedHost:
         )
         self.network.post(message)
 
-    def _run_call(
-        self, terminator: TermCall, state: ExecutionState
-    ) -> Optional[ExecutionState]:
-        # Evaluate arguments in the caller's frame.
-        arg_values = {
-            param: self.eval(expr, state.frame)
-            for param, expr in terminator.args
-        }
-        return self._finish_call(terminator, state, arg_values)
-
     def _finish_call(
         self,
         terminator: TermCall,
         state: ExecutionState,
         arg_values: Dict[str, Any],
     ) -> Optional[ExecutionState]:
-        """Everything after argument evaluation (shared with the
-        compiled terminator closures)."""
+        """A call terminator once its arguments are evaluated."""
         # Sync the continuation on this host (a local ICS push).
         cont_token = self._do_sync(
             terminator.cont_entry, state.frame, state.token
@@ -1197,21 +1085,10 @@ class TrustedHost:
         )
         return None
 
-    def _run_return(
-        self, terminator: TermReturn, state: ExecutionState
-    ) -> Optional[ExecutionState]:
-        value = (
-            self.eval(terminator.expr, state.frame)
-            if terminator.expr is not None
-            else None
-        )
-        return self._finish_return(state, value)
-
     def _finish_return(
         self, state: ExecutionState, value: Any
     ) -> Optional[ExecutionState]:
-        """Everything after evaluating the return expression (shared
-        with the compiled terminator closures)."""
+        """A return terminator once its value is evaluated."""
         token = state.token
         if token is None:
             raise HaltSignal()
@@ -1261,47 +1138,6 @@ class TrustedHost:
             return ExecutionState(token.entry, token.frame, previous)
         self._do_lgoto(token, extra_vars=retval_payload)
         return None
-
-    # ------------------------------------------------------------------
-    # Expression evaluation
-    # ------------------------------------------------------------------
-
-    def eval(self, expr: ir.IRExpr, frame: FrameID) -> Any:
-        if isinstance(expr, ir.Const):
-            return expr.value
-        if isinstance(expr, ir.VarUse):
-            return self.var(frame, expr.name)
-        if isinstance(expr, ir.FieldUse):
-            oid = None
-            if expr.obj is not None:
-                ref = self.eval(expr.obj, frame)
-                if ref is None:
-                    raise RuntimeError("null dereference in field read")
-                oid = ref.oid
-            return self.read_field(expr.cls, expr.field, oid)
-        if isinstance(expr, ir.BinOp):
-            return self._eval_binop(expr, frame)
-        if isinstance(expr, ir.UnOp):
-            operand = self.eval(expr.operand, frame)
-            return (not operand) if expr.op == "!" else (-operand)
-        if isinstance(expr, ir.NewObj):
-            return ObjectRef(expr.cls)
-        if isinstance(expr, ir.NewArr):
-            length = self.eval(expr.length, frame)
-            return self.alloc_array(length, expr.label)
-        if isinstance(expr, ir.ArrayUse):
-            ref = self.eval(expr.array, frame)
-            index = self.eval(expr.index, frame)
-            return self.read_element(ref, index)
-        if isinstance(expr, ir.ArrayLen):
-            ref = self.eval(expr.array, frame)
-            if ref is None:
-                raise RuntimeError("null dereference in array length")
-            return ref.length
-        if isinstance(expr, ir.DowngradeExpr):
-            # declassify/endorse have no run-time cost (Section 2.2).
-            return self.eval(expr.inner, frame)
-        raise AssertionError(f"unknown expression {expr!r}")
 
     # ------------------------------------------------------------------
     # Array element access (counted as getField/setField, like the
@@ -1366,45 +1202,6 @@ class TrustedHost:
         )
         if result is _REJECTED:
             raise RuntimeError(f"array write rejected for {self.name}")
-
-    def _eval_binop(self, expr: ir.BinOp, frame: FrameID) -> Any:
-        op = expr.op
-        left = self.eval(expr.left, frame)
-        if op == "&&":
-            return bool(left) and bool(self.eval(expr.right, frame))
-        if op == "||":
-            return bool(left) or bool(self.eval(expr.right, frame))
-        right = self.eval(expr.right, frame)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            # Java semantics: truncate toward zero.
-            quotient = abs(left) // abs(right)
-            return quotient if (left >= 0) == (right >= 0) else -quotient
-        if op == "%":
-            return left - (self._eval_div(left, right)) * right
-        if op == "==":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        raise AssertionError(f"unknown operator {op!r}")
-
-    @staticmethod
-    def _eval_div(left: int, right: int) -> int:
-        quotient = abs(left) // abs(right)
-        return quotient if (left >= 0) == (right >= 0) else -quotient
 
     # ------------------------------------------------------------------
     # Field access

@@ -68,10 +68,9 @@ class KeyRegistry:
         #: MAC, and replay rejection lives in the ICS, not here.  The
         #: registry rides on the shared RuntimeImage, so the memo batches
         #: verification across every session interleaved over the image.
-        #: ``REPRO_VERIFY_MEMO=0`` disables it (the differential oracle
-        #: in the token micro-benchmark runs both ways).
+        #: ``benchmarks/test_token_micro.py`` holds every verdict to an
+        #: independently recomputed HMAC.
         self._mac_memo: Dict[Tuple[str, bytes], bytes] = {}
-        self._memo_enabled = os.environ.get("REPRO_VERIFY_MEMO", "1") != "0"
 
     def register(self, name: str) -> None:
         if name not in self._keys:
@@ -103,10 +102,9 @@ class KeyRegistry:
         digest = base.copy()
         digest.update(message)
         mac = digest.digest()
-        if self._memo_enabled:
-            if len(self._mac_memo) >= _MAC_MEMO_LIMIT:
-                self._mac_memo.clear()
-            self._mac_memo[memo_key] = mac
+        if len(self._mac_memo) >= _MAC_MEMO_LIMIT:
+            self._mac_memo.clear()
+        self._mac_memo[memo_key] = mac
         return mac
 
     def verify(self, name: str, message: bytes, signature: bytes) -> bool:

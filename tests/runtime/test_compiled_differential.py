@@ -1,20 +1,23 @@
-"""Differential tests: compiled fragment bodies ≡ the interpreter.
+"""Differential tests: compiled fragment bodies ≡ the reference interpreter.
 
-``TrustedHost.run_chain`` normally tiers into compiled closures
-(``repro.runtime.compiler``); with ``REPRO_COMPILE=0`` it stays on the
-per-op ``_run_op``/``_run_terminator`` interpreter forever.  Both modes
-must produce bit-identical observable behaviour: message counts,
-simulated network time, audits, frame variables, and field stores.
+``TrustedHost.run_chain`` runs every fragment as compiled closures
+(``repro.runtime.compiler``).  The tree-walking interpreter in
+``tests/runtime/interpreter.py`` is installed in its place for the oracle
+run.  Both must produce bit-identical observable behaviour: message
+counts, simulated network time, audits, frame variables, and field
+stores.
 """
 
 import pytest
 
 from repro import progen
 from repro.runtime import DistributedExecutor
+from repro.runtime.compiler import compile_split
 from repro.splitter import split_source
-from repro.workloads import listcompare, ot, tax, work
+from repro.workloads import listcompare, medical, ot, tax, work
 
 from tests.programs import OT_SOURCE, SIMPLE_SOURCE, config_abt, single_host_config
+from tests.runtime import interpreter
 
 
 def observables(outcome):
@@ -70,14 +73,12 @@ def observables(outcome):
 
 
 def run_both(source, config, monkeypatch):
-    """One split, executed compiled and interpreted."""
+    """One split, executed compiled and by the reference interpreter."""
     result = split_source(source, config)
     compiled = DistributedExecutor(result.split).run()
-    monkeypatch.setenv("REPRO_COMPILE", "0")
-    try:
+    with monkeypatch.context() as patch:
+        interpreter.install(patch)
         interpreted = DistributedExecutor(result.split).run()
-    finally:
-        monkeypatch.delenv("REPRO_COMPILE")
     return observables(compiled), observables(interpreted)
 
 
@@ -91,8 +92,9 @@ class TestWorkloads:
             (ot.source(rounds=2), ot.config()),
             (tax.source(), tax.config()),
             (work.source(rounds=12), work.config()),
+            (medical.source(), medical.config()),
         ],
-        ids=["simple", "ot-test", "list", "ot", "tax", "work"],
+        ids=["simple", "ot-test", "list", "ot", "tax", "work", "medical"],
     )
     def test_workload_identical(self, source, config, monkeypatch):
         compiled, interpreted = run_both(source, config, monkeypatch)
@@ -108,29 +110,33 @@ class TestGeneratedPrograms:
         )
         assert compiled == interpreted
 
-    def test_flag_actually_disables_compilation(self, monkeypatch):
-        """Guard the guard: REPRO_COMPILE=0 must leave hosts compiler-free,
-        or the differential above compares compiled against compiled."""
+    def test_oracle_run_compiles_nothing(self, monkeypatch):
+        """Guard the guard: the interpreted run must not touch the
+        compiled-fragment cache, or the differential above compares
+        compiled against compiled."""
         result = split_source(OT_SOURCE, config_abt())
-        executor = DistributedExecutor(result.split)
-        assert all(
-            host._compiled is not None for host in executor.hosts.values()
-        )
-        monkeypatch.setenv("REPRO_COMPILE", "0")
-        plain = DistributedExecutor(result.split)
-        assert all(
-            host._compiled is None for host in plain.hosts.values()
-        )
+        interpreter.install(monkeypatch)
+        DistributedExecutor(result.split).run()
+        assert compile_split(result.split) == {}
 
-    def test_tiering_reexecutes_hot_fragments_compiled(self):
-        """Loops re-enter their fragments, so a looping workload must
-        actually populate the compiled-fragment cache (the differential
-        would vacuously pass if tiering never promoted anything)."""
-        result = split_source(work.source(rounds=12), work.config())
-        executor = DistributedExecutor(result.split)
-        executor.run()
-        compiled_entries = set()
-        for host in executor.hosts.values():
-            if host._compiled is not None:
-                compiled_entries.update(host._compiled.fragments)
-        assert compiled_entries, "no fragment was ever promoted to compiled"
+    def test_production_compiles_every_executed_entry(self, monkeypatch):
+        """After one production run the compiled cache holds exactly the
+        fragments the reference interpreter executes: run-once
+        (straight-line) fragments included, nothing compiled eagerly."""
+        executed = set()
+        run_terminator = interpreter.run_terminator
+
+        def recording(host, fragment, state):
+            executed.add(fragment.entry)
+            return run_terminator(host, fragment, state)
+
+        with monkeypatch.context() as patch:
+            interpreter.install(patch)
+            patch.setattr(interpreter, "run_terminator", recording)
+            oracle = split_source(medical.source(), medical.config())
+            DistributedExecutor(oracle.split).run()
+        result = split_source(medical.source(), medical.config())
+        assert compile_split(result.split) == {}
+        DistributedExecutor(result.split).run()
+        assert executed
+        assert set(compile_split(result.split)) == executed

@@ -1,11 +1,18 @@
-"""Unit tests for fragment-level expression evaluation on a host."""
+"""Unit tests for fragment-level expression evaluation on a host.
+
+Every table runs against production (``compile_expr(expr)(host,
+frame)``) and, through the ``*Reference`` subclasses, against the
+reference interpreter in ``tests/runtime/interpreter.py``.
+"""
 
 import pytest
 
 from repro.runtime import DistributedExecutor, FrameID
+from repro.runtime.compiler import compile_expr
 from repro.splitter import ir, split_source
 
 from tests.programs import SIMPLE_SOURCE, single_host_config
+from tests.runtime import interpreter
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +25,15 @@ def host():
 @pytest.fixture
 def frame():
     return FrameID(("Simple", "main"))
+
+
+def compiled_evaluate(host, expr, frame):
+    return compile_expr(expr)(host, frame)
+
+
+@pytest.fixture
+def evaluate():
+    return compiled_evaluate
 
 
 def const(value):
@@ -45,8 +61,8 @@ class TestArithmetic:
             ("%", -7, -2, -1),
         ],
     )
-    def test_int_ops(self, host, frame, op, left, right, expected):
-        assert host.eval(binop(op, left, right), frame) == expected
+    def test_int_ops(self, evaluate, host, frame, op, left, right, expected):
+        assert evaluate(host, binop(op, left, right), frame) == expected
 
     @pytest.mark.parametrize(
         "op,left,right,expected",
@@ -60,8 +76,10 @@ class TestArithmetic:
             (">=", 2, 3, False),
         ],
     )
-    def test_comparisons(self, host, frame, op, left, right, expected):
-        assert host.eval(binop(op, left, right), frame) is expected
+    def test_comparisons(
+        self, evaluate, host, frame, op, left, right, expected
+    ):
+        assert evaluate(host, binop(op, left, right), frame) is expected
 
     @pytest.mark.parametrize(
         "op,left,right,expected",
@@ -73,14 +91,14 @@ class TestArithmetic:
             ("||", False, False, False),
         ],
     )
-    def test_logic(self, host, frame, op, left, right, expected):
-        assert host.eval(binop(op, left, right), frame) is expected
+    def test_logic(self, evaluate, host, frame, op, left, right, expected):
+        assert evaluate(host, binop(op, left, right), frame) is expected
 
-    def test_unary(self, host, frame):
-        assert host.eval(ir.UnOp("!", const(True)), frame) is False
-        assert host.eval(ir.UnOp("-", const(5)), frame) == -5
+    def test_unary(self, evaluate, host, frame):
+        assert evaluate(host, ir.UnOp("!", const(True)), frame) is False
+        assert evaluate(host, ir.UnOp("-", const(5)), frame) == -5
 
-    def test_matches_oracle_semantics(self, host, frame):
+    def test_matches_oracle_semantics(self, evaluate, host, frame):
         """Distributed and single-host arithmetic agree on every case."""
         from repro.runtime.singlehost import SingleHostInterpreter
         from repro.splitter import lower_program
@@ -93,9 +111,15 @@ class TestArithmetic:
             for left in (-7, -1, 0, 3, 10):
                 for right in (-3, -1, 2, 5):
                     expr = binop(op, left, right)
-                    assert host.eval(expr, frame) == oracle._eval(
+                    assert evaluate(host, expr, frame) == oracle._eval(
                         method, expr, {}
                     ), (op, left, right)
+
+
+class TestArithmeticReference(TestArithmetic):
+    @pytest.fixture
+    def evaluate(self):
+        return interpreter.evaluate
 
 
 class TestFrames:
@@ -106,15 +130,21 @@ class TestFrames:
         host.set_var(frame, "acc", 42)
         assert host.var(frame, "acc") == 42
 
-    def test_downgrade_is_identity_at_runtime(self, host, frame):
+    def test_downgrade_is_identity_at_runtime(self, evaluate, host, frame):
         from repro.labels import Label
 
         expr = ir.DowngradeExpr(
             "declassify", const(9), Label.of("{}"), frozenset()
         )
-        assert host.eval(expr, frame) == 9
+        assert evaluate(host, expr, frame) == 9
 
-    def test_new_object_has_fresh_identity(self, host, frame):
-        a = host.eval(ir.NewObj("Simple"), frame)
-        b = host.eval(ir.NewObj("Simple"), frame)
+    def test_new_object_has_fresh_identity(self, evaluate, host, frame):
+        a = evaluate(host, ir.NewObj("Simple"), frame)
+        b = evaluate(host, ir.NewObj("Simple"), frame)
         assert a != b
+
+
+class TestFramesReference(TestFrames):
+    @pytest.fixture
+    def evaluate(self):
+        return interpreter.evaluate
