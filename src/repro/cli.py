@@ -31,13 +31,11 @@ one structured line to stderr —
 a traceback.
 
 Repeated parses of byte-identical source are served from the frontend
-cache (``repro.lang.cache``); set ``REPRO_PARSE_CACHE=0`` to force every
-command onto the uncached lex/parse/typecheck path.  Repeated *splits*
-of the same (program, trust configuration, engine) triple are served
-from the whole-pipeline split cache (``repro.splitter.cache``); set
-``REPRO_SPLIT_CACHE=0`` to disable it, or point
-``REPRO_SPLIT_CACHE_DIR`` at a directory to persist split artifacts
-across runs (digest-verified on load).
+cache (``repro.lang.cache``).  Repeated *splits* of the same (program,
+trust configuration) pair are served from the whole-pipeline split
+cache (``repro.splitter.cache``); point ``REPRO_SPLIT_CACHE_DIR`` at a
+directory to persist split artifacts across runs (digest-verified on
+load).
 
 The hosts file is JSON::
 
@@ -563,9 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="time the Table 1 workloads and a seeded progen sweep, "
              "staged as parse/typecheck/split/execute; reports label, "
              "frontend (parse), and split cache hit rates — set "
-             "REPRO_PARSE_CACHE=0 / REPRO_SPLIT_CACHE=0 to bench the "
-             "uncached paths, REPRO_SPLIT_CACHE_DIR to persist split "
-             "artifacts across runs",
+             "REPRO_SPLIT_CACHE_DIR to persist split artifacts across "
+             "runs",
     )
     bench.add_argument("--quick", action="store_true",
                        help="short sweep for CI smoke runs")
@@ -573,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="progen sweep size (default 200)")
     bench.add_argument("--out", help="write the JSON report to this path")
     bench.add_argument("--compare",
-                       help="baseline JSON (e.g. BENCH_PR2.json) to gate "
+                       help="baseline JSON (e.g. BENCH_PR9.json) to gate "
                             "wall-clock regressions against")
     bench.add_argument("--tolerance", type=float, default=0.25,
                        help="allowed slowdown fraction vs the baseline")

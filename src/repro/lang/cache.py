@@ -21,9 +21,11 @@ Soundness invariants (see docs/architecture.md, "Frontend cache"):
   this with a mutation-safety test);
 * the AST table holds strong references, so the ``id(program)`` values
   used by the reverse map (and by ``CheckedProgram``'s per-node tables,
-  which are keyed by AST node ids) are never recycled;
-* ``REPRO_PARSE_CACHE=0`` disables every lookup *and* every store, so
-  the uncached path is exactly the pre-cache pipeline.
+  which are keyed by AST node ids) are never recycled.
+
+The cache has no off switch: ``tests/lang/test_frontend_cache.py``
+holds every cached artifact equal to a direct ``Lexer`` / ``Parser`` /
+``TypeChecker`` run.
 
 Hit/miss counters feed the ``python -m repro bench`` cache report
 alongside the label-lattice counters (``labels/cache.py``).  The tables
@@ -34,17 +36,7 @@ its workers, so sweep workers inherit a warm cache by memory copy.
 from __future__ import annotations
 
 import hashlib
-import os
 from typing import Dict, Optional, Tuple
-
-#: Environment variable gating the cache; "0" disables it entirely.
-ENV_FLAG = "REPRO_PARSE_CACHE"
-
-
-def enabled() -> bool:
-    """Whether the frontend cache is active (the default)."""
-    return os.environ.get(ENV_FLAG, "1") != "0"
-
 
 def digest(source: str) -> str:
     """The content address of ``source``: its SHA-256 hex digest."""

@@ -32,8 +32,7 @@ derivations agree for every offset — both count the line starts at or
 before the offset — and ``tests/lang/test_lexer_differential.py``
 cross-checks them token by token over the whole corpus.
 
-Token tuples are cached per source digest (see ``lang/cache.py``);
-``REPRO_PARSE_CACHE=0`` disables the cache.
+Token tuples are cached per source digest (see ``lang/cache.py``).
 """
 
 from __future__ import annotations
@@ -222,11 +221,8 @@ class Lexer:
 def tokenize(source: str) -> Sequence[Token]:
     """Tokenize ``source``, appending a single end-of-file token.
 
-    Returns an immutable tuple, cached per content digest; set
-    ``REPRO_PARSE_CACHE=0`` to disable the cache.
+    Returns an immutable tuple, cached per content digest.
     """
-    if not _frontend_cache.enabled():
-        return tuple(Lexer(source).scan())
     key = _frontend_cache.digest(source)
     tokens = _frontend_cache.lookup_tokens(key)
     if tokens is None:

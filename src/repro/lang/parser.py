@@ -514,10 +514,8 @@ def parse_program(source: str) -> ast.Program:
 
     The resulting AST is cached per content digest and shared across
     repeated parses of byte-identical source (every consumer treats it
-    as immutable); set ``REPRO_PARSE_CACHE=0`` to disable the cache.
+    as immutable).
     """
-    if not _frontend_cache.enabled():
-        return Parser(source).parse_program()
     key = _frontend_cache.digest(source)
     program = _frontend_cache.lookup_ast(key)
     if program is None:

@@ -984,11 +984,7 @@ def check_program(program: ast.Program, hierarchy=None) -> CheckedProgram:
     """
     from . import cache as _frontend_cache
 
-    digest = (
-        _frontend_cache.ast_digest(program)
-        if _frontend_cache.enabled()
-        else None
-    )
+    digest = _frontend_cache.ast_digest(program)
     if digest is None:
         return TypeChecker(program, hierarchy).check()
     from ..labels import EMPTY_HIERARCHY

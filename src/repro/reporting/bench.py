@@ -9,7 +9,7 @@ program, split program) — so ``end_to_end_seconds`` is the cost of one
 true pipeline pass with no double-counted parsing.
 
 ``python -m repro bench`` writes the results as JSON (see
-``BENCH_PR2.json`` at the repo root for the checked-in baseline) and can
+``BENCH_PR9.json`` at the repo root for the checked-in baseline) and can
 compare a fresh run against a checked-in baseline with ``--compare``,
 failing when end-to-end wall-clock regresses beyond ``--tolerance``.
 
@@ -249,29 +249,19 @@ def _stage_totals(data: Dict, sweep_scale: float) -> Dict[str, float]:
 def _reference_run(baseline: Dict, baseline_path: str) -> Dict:
     """Pick the reference run out of a loaded baseline file.
 
-    Schema detection is structural, not key-presence: an *envelope*
-    file carries a ``current`` mapping that itself holds the run
-    sections (``workloads`` et al.), while a *legacy flat* file has the
-    run sections at the top level.  Detection must not key on optional
-    sections — an envelope whose run skipped ``durability`` or
+    A baseline is an *envelope*: a ``current`` mapping that itself holds
+    the run sections (``workloads`` et al.).  Detection must not key on
+    optional sections — an envelope whose run skipped ``durability`` or
     ``throughput`` (or recorded ``baseline: null``) is still an
-    envelope, and must not trip the legacy warning.
+    envelope.  Anything else, including a flat report with the run
+    sections at the top level, is rejected.
     """
     current = baseline.get("current")
     if isinstance(current, dict) and "workloads" in current:
         return current
-    if "workloads" in baseline:
-        print(
-            f"bench: warning — {baseline_path} uses the legacy flat "
-            "schema (no baseline/current/jobs envelope); reading its "
-            "top level as the reference run",
-            file=sys.stderr,
-        )
-        return baseline
     raise ValueError(
-        f"{baseline_path}: not a bench report — neither an envelope "
-        "with a 'current' run nor a legacy flat report (no 'workloads' "
-        "section found)"
+        f"{baseline_path}: not a bench report — no 'current' run with a "
+        "'workloads' section found"
     )
 
 
@@ -296,9 +286,7 @@ def compare(report: Dict, baseline_path: str, tolerance: float) -> int:
       ``2 * tolerance``, and the throughput invariants (per-session
       oracle observables) bit-identical.
 
-    Baselines in the normalized schema have top-level ``baseline`` /
-    ``current`` / ``jobs`` keys; legacy flat files (every section at the
-    top level, e.g. BENCH_PR5.json) are still accepted with a warning.
+    Baselines have top-level ``baseline`` / ``current`` / ``jobs`` keys.
     """
     with open(baseline_path) as handle:
         baseline = json.load(handle)
@@ -449,9 +437,7 @@ def main(
         print(format_breakdown(report["profile"]))
     # Normalized bench JSON schema: every written report carries the
     # same top-level envelope — ``baseline`` (what this run was gated
-    # against, or null), ``current`` (this run), ``jobs``.  compare()
-    # still accepts legacy flat files (pre-envelope baselines) with a
-    # warning.
+    # against, or null), ``current`` (this run), ``jobs``.
     envelope = {
         "baseline": {"path": baseline} if baseline else None,
         "current": report,
@@ -484,8 +470,7 @@ def main(
             f"{name.split('.', 1)[1]} {entry['hits']}/{entry['hits'] + entry['misses']}"
             for name, entry in sorted(frontend.items())
         )
-        print(f"bench: frontend cache hits {summary} "
-              f"(REPRO_PARSE_CACHE=0 disables)")
+        print(f"bench: frontend cache hits {summary}")
     split_tiers = {
         name: entry
         for name, entry in report.get("cache", {}).items()
@@ -497,8 +482,7 @@ def main(
             for name, entry in sorted(split_tiers.items())
         )
         print(f"bench: split cache hits {summary} "
-              f"(REPRO_SPLIT_CACHE=0 disables, "
-              f"REPRO_SPLIT_CACHE_DIR enables the disk tier)")
+              f"(REPRO_SPLIT_CACHE_DIR enables the disk tier)")
     durability = report.get("durability")
     if durability:
         print(

@@ -29,7 +29,7 @@ from .faults import CrashPointInjector, FaultInjector, FaultPolicy
 from .network import DeliveryTimeoutError
 
 
-def split_for_sweep(source: str, config, engine: Optional[str] = None) -> SplitProgram:
+def split_for_sweep(source: str, config) -> SplitProgram:
     """Partition ``source`` for a sweep, through the whole-pipeline
     split cache.
 
@@ -44,7 +44,7 @@ def split_for_sweep(source: str, config, engine: Optional[str] = None) -> SplitP
     """
     from ..splitter.partition import split_source
 
-    return split_source(source, config, engine).split
+    return split_source(source, config).split
 
 
 def random_policy(rng: random.Random) -> FaultPolicy:

@@ -333,6 +333,9 @@ class Session:
         elif storage is NO_STORAGE:
             storage = None
         self.storage = storage
+        #: True once ``run()`` has discarded an auto tier; the next
+        #: ``reset(storage=_KEEP)`` then creates a fresh one.
+        self._auto_discarded = False
         self._token_rng = token_rng
         self.hosts: Dict[str, TrustedHost] = {}
         for descriptor in self.split.config.hosts:
@@ -401,14 +404,18 @@ class Session:
         mirror ``__init__`` and default to a fault-free session.
 
         ``storage`` defaults to recycling the attached durable tier in
-        place (its persisted rows are wound back to a fresh lifetime);
-        pass ``None``/``NO_STORAGE`` to detach it, or a new
-        ``SessionStorage`` to swap tiers.
+        place (its persisted rows are wound back to a fresh lifetime), or
+        to a fresh ``REPRO_STORAGE`` default when the last run discarded
+        its auto tier; pass ``None``/``NO_STORAGE`` to detach it, or a
+        new ``SessionStorage`` to swap tiers.
         """
         if storage is _KEEP:
             storage = self.storage
+            if storage is None and self._auto_discarded:
+                storage = default_storage()
         elif storage is NO_STORAGE:
             storage = None
+        self._auto_discarded = False
         if storage is not self.storage:
             # Swapping tiers: sever the old one before anything writes.
             if self.storage is not None:
@@ -527,6 +534,7 @@ class Session:
             # completed run has nothing left to rehydrate.
             storage.discard()
             self.storage = None
+            self._auto_discarded = True
         return self.result()
 
     def result(self) -> ExecutionResult:

@@ -107,16 +107,11 @@ class SessionStorage:
         self,
         directory: str,
         retry: Optional[StorageRetryPolicy] = None,
-        synchronous: Optional[str] = None,
     ) -> None:
         self.directory = directory
         self.db_path = os.path.join(directory, "session.db")
         self.sidecar_path = os.path.join(directory, "sealed.json")
         self.retry = retry or StorageRetryPolicy()
-        self.synchronous = (
-            synchronous
-            or os.environ.get("REPRO_STORAGE_SYNC", "NORMAL")
-        ).upper()
         #: False once degraded: every further operation is a no-op.
         self.available = True
         self.degraded_reason: Optional[str] = None
@@ -145,7 +140,7 @@ class SessionStorage:
             os.makedirs(self.directory, exist_ok=True)
             conn = sqlite3.connect(self.db_path, isolation_level=None)
             conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute(f"PRAGMA synchronous={self.synchronous}")
+            conn.execute("PRAGMA synchronous=NORMAL")
             conn.executescript(_SCHEMA)
             self._conn = conn
 
@@ -813,24 +808,24 @@ def _rng_state(state):
 # Environment-driven default storage (``REPRO_STORAGE=sqlite``)
 # ---------------------------------------------------------------------------
 
-_auto_base_dir: Optional[str] = None
+#: The process-private fallback base, created on first use and removed
+#: at exit; only used while ``REPRO_STORAGE_DIR`` is unset.
+_temp_base_dir: Optional[str] = None
 
 
 def _auto_base() -> str:
-    global _auto_base_dir
-    if _auto_base_dir is None:
-        configured = os.environ.get("REPRO_STORAGE_DIR")
-        if configured:
-            os.makedirs(configured, exist_ok=True)
-            _auto_base_dir = configured
-        else:
-            _auto_base_dir = tempfile.mkdtemp(prefix="repro-storage-")
-            import atexit
+    """``REPRO_STORAGE_DIR`` as of this call, else the temp fallback."""
+    global _temp_base_dir
+    configured = os.environ.get("REPRO_STORAGE_DIR")
+    if configured:
+        os.makedirs(configured, exist_ok=True)
+        return configured
+    if _temp_base_dir is None:
+        _temp_base_dir = tempfile.mkdtemp(prefix="repro-storage-")
+        import atexit
 
-            atexit.register(
-                shutil.rmtree, _auto_base_dir, ignore_errors=True
-            )
-    return _auto_base_dir
+        atexit.register(shutil.rmtree, _temp_base_dir, ignore_errors=True)
+    return _temp_base_dir
 
 
 def default_storage() -> Optional[SessionStorage]:

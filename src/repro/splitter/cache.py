@@ -7,14 +7,13 @@ trust configuration, and acts-for hierarchy the splitter's output is a
 pure function of its inputs, so this module memoizes ``split_source``
 results end to end, keyed by::
 
-    (sha256(source), TrustConfiguration.fingerprint(), engine)
+    (sha256(source), TrustConfiguration.fingerprint())
 
 where the fingerprint covers hosts, preferences, field pins, link
 costs, and every acts-for edge — any change to the trust assumptions
-changes the key, so a stale split can never be served.  The engine
-component is the *resolved* selection (``auto`` | ``mincut`` |
-``heuristic``, after the ``REPRO_MINCUT`` environment override), since
-each engine may legitimately pick a different equal-cost placement.
+changes the key, so a stale split can never be served.  Placement is
+one policy (:func:`repro.splitter.optimizer.assign_hosts`), so the key
+needs no engine component.
 
 Two tiers:
 
@@ -32,11 +31,9 @@ Two tiers:
   style, but without ever surfacing an exception for what is only a
   cache.
 
-``REPRO_SPLIT_CACHE=0`` disables every lookup and every store, so the
-uncached path is exactly the pre-cache pipeline.  Hit/miss counters
-feed ``python -m repro bench`` alongside the label and frontend cache
-stats.  The differential battery in
-``tests/splitter/test_split_cache.py`` pins rehydrated splits
+The cache has no off switch.  Hit/miss counters feed ``python -m repro
+bench`` alongside the label and frontend cache stats.  The differential
+battery in ``tests/splitter/test_split_cache.py`` pins rehydrated splits
 observably identical to fresh compiles across both tiers.
 """
 
@@ -54,8 +51,6 @@ from .serialize import (
     from_canonical_bytes,
 )
 
-#: Environment variable gating the whole cache; "0" disables it.
-ENV_FLAG = "REPRO_SPLIT_CACHE"
 #: Environment variable naming the on-disk artifact directory; unset
 #: (the default) leaves the durable tier off.
 ENV_DIR = "REPRO_SPLIT_CACHE_DIR"
@@ -67,27 +62,9 @@ _MAGIC = f"repro-split-artifact v{FORMAT_VERSION}".encode("ascii")
 _TMP_SERIAL = itertools.count()
 
 
-def enabled() -> bool:
-    """Whether the split cache is active (the default)."""
-    return os.environ.get(ENV_FLAG, "1") != "0"
-
-
 def artifact_dir() -> Optional[str]:
     """The on-disk tier's directory, or None when the tier is off."""
     return os.environ.get(ENV_DIR) or None
-
-
-def resolve_engine(engine: Optional[str]) -> str:
-    """The engine component of the cache key: the same resolution
-    :func:`repro.splitter.optimizer.assign_hosts` applies, normalized
-    to one of ``heuristic`` / ``mincut`` / ``auto``."""
-    if engine is None:
-        engine = os.environ.get("REPRO_MINCUT", "auto") or "auto"
-    if engine in ("0", "off", "heuristic"):
-        return "heuristic"
-    if engine == "mincut":
-        return "mincut"
-    return "auto"
 
 
 class SplitKey(NamedTuple):
@@ -95,7 +72,6 @@ class SplitKey(NamedTuple):
 
     source: str  #: sha256 hex digest of the program text
     config: str  #: TrustConfiguration.fingerprint()
-    engine: str  #: resolved engine ("auto" | "mincut" | "heuristic")
 
     def digest(self) -> str:
         """One hex digest over all components — the artifact file name."""
@@ -106,13 +82,13 @@ class SplitKey(NamedTuple):
         return hasher.hexdigest()
 
 
-def split_key(source_digest: Optional[str], config, engine: Optional[str]) -> Optional[SplitKey]:
+def split_key(source_digest: Optional[str], config) -> Optional[SplitKey]:
     """The cache key for one ``split_source`` call, or None when the
-    cache is disabled or the source digest is unknown (e.g. a checked
-    program whose AST never went through the frontend cache)."""
-    if source_digest is None or not enabled():
+    source digest is unknown (e.g. a checked program whose AST never
+    went through the frontend cache)."""
+    if source_digest is None:
         return None
-    return SplitKey(source_digest, config.fingerprint(), resolve_engine(engine))
+    return SplitKey(source_digest, config.fingerprint())
 
 
 class _Tier:
@@ -145,11 +121,7 @@ def artifact_path(key: SplitKey, directory: str) -> str:
 
 def _artifact_bytes(key: SplitKey, encoded: Dict) -> bytes:
     body = canonical_bytes({
-        "key": {
-            "source": key.source,
-            "config": key.config,
-            "engine": key.engine,
-        },
+        "key": key._asdict(),
         "split": encoded,
     })
     digest = hashlib.sha256(body).hexdigest().encode("ascii")
@@ -222,8 +194,8 @@ def _read_artifact(key: SplitKey, directory: str) -> Optional[Dict]:
     Verification order is cheapest-first: magic + format version, then
     the SHA-256 body digest (catches truncation and bit flips), then
     the embedded key (catches an artifact copied under the wrong file
-    name — e.g. one produced for a different engine), then the strict
-    structural decode.
+    name — e.g. one produced for another trust configuration), then the
+    strict structural decode.
     """
     try:
         with open(artifact_path(key, directory), "rb") as handle:
@@ -245,11 +217,7 @@ def _read_artifact(key: SplitKey, directory: str) -> Optional[Dict]:
     if not isinstance(data, dict):
         return None
     embedded = data.get("key")
-    if embedded != {
-        "source": key.source,
-        "config": key.config,
-        "engine": key.engine,
-    }:
+    if embedded != key._asdict():
         return None
     split = data.get("split")
     if not isinstance(split, dict):

@@ -1,4 +1,4 @@
-"""Exact host assignment by max-flow/min-cut (Section 6, exact engine).
+"""Exact host assignment by max-flow/min-cut (Section 6, exact path).
 
 The Section 6 placement problem is, for two hosts, exactly Stone's
 classic program-assignment problem: every statement and field is a graph
@@ -8,13 +8,13 @@ and per-field preference terms are node (unary) costs.  Minimising total
 message cost is then a minimum s-t cut, solvable exactly in polynomial
 time — no sweeps, no seeds, no dynamic program.
 
-Three layers live here:
+Two layers live here:
 
 * :class:`PlacementModel` — the placement cost model, built in one pass
   over the same candidate sets the heuristic optimizer uses.  Its
   :meth:`~PlacementModel.cost` reproduces ``Optimizer._total_cost``
-  exactly (the differential tests assert this), so both engines optimise
-  the same objective.
+  exactly (the differential tests assert this), so the exact path and
+  the heuristic optimise the same objective.
 
 * ``solve_two_host`` — the exact cut for instances whose free nodes all
   choose between the same two hosts.  ``reduce_hosts`` first prunes
@@ -27,14 +27,8 @@ Three layers live here:
   cheaper than A's — which is what lets the benchmark sweep skip the
   heuristic entirely.
 
-* ``refine_pairwise`` — when more than two hosts stay eligible, an
-  exact cut per host pair refines an existing assignment (the heuristic
-  result), accepting only strict improvements.  The refined cost is
-  therefore never worse than the heuristic's, and each accepted pair cut
-  is optimal over the moves it considers.
-
-``REPRO_MINCUT=0`` disables the engine entirely (see
-``optimizer.assign_hosts``), falling back to the chain-DP heuristic.
+``optimizer.assign_hosts`` takes this exact path whenever
+:func:`try_exact` applies and the chain-DP heuristic otherwise.
 """
 
 from __future__ import annotations
@@ -46,8 +40,7 @@ from ..trust import TrustConfiguration
 from . import ir
 from .selection import CandidateSets, SplitError
 
-#: Strict-improvement threshold for accepting a pairwise refinement —
-#: guards against float noise re-accepting equal-cost cuts forever.
+#: Capacities at or below this are treated as saturated (float noise).
 _EPSILON = 1e-9
 
 
@@ -447,69 +440,18 @@ def solve_two_host(model: PlacementModel, union: List[str]) -> List[str]:
     return hosts
 
 
-def refine_pairwise(
-    model: PlacementModel, hosts: List[str], max_rounds: int = 8
-) -> List[str]:
-    """Per-pair exact-cut refinement of an existing placement.
-
-    For each pair of hosts, the nodes currently on either one whose
-    candidate sets allow both are re-placed by an exact cut; the move is
-    kept only if it strictly lowers the model cost.  Terminates when a
-    full round over all pairs improves nothing, so the result never
-    costs more than the input."""
-    union = sorted(
-        {
-            h
-            for i, cand in enumerate(model.candidates)
-            if i not in model.forced
-            for h in cand
-        }
-    )
-    pairs = [
-        (a, b) for pos, a in enumerate(union) for b in union[pos + 1:]
-    ]
-    hosts = list(hosts)
-    best_cost = model.cost(hosts)
-    for _ in range(max_rounds):
-        improved = False
-        for host_x, host_y in pairs:
-            movable = [
-                i
-                for i, cand in enumerate(model.candidates)
-                if i not in model.forced
-                and hosts[i] in (host_x, host_y)
-                and host_x in cand
-                and host_y in cand
-            ]
-            if not movable:
-                continue
-            fixed = {i: hosts[i] for i in range(len(hosts))}
-            placed = _cut_between(model, host_x, host_y, fixed, movable)
-            trial = list(hosts)
-            for node, host in placed.items():
-                trial[node] = host
-            trial_cost = model.cost(trial)
-            if trial_cost < best_cost - _EPSILON:
-                hosts = trial
-                best_cost = trial_cost
-                improved = True
-        if not improved:
-            break
-    return hosts
-
-
 def try_exact(
     checked: CheckedProgram,
     program: ir.IRProgram,
     config: TrustConfiguration,
     candidates: CandidateSets,
 ):
-    """The exact engine, when it applies.
+    """The exact placement, when it applies.
 
     Returns an :class:`~repro.splitter.optimizer.Assignment` when the
     instance reduces to at most two eligible hosts (after domination
     pruning), or ``None`` — in which case the caller falls back to the
-    heuristic (optionally min-cut-refined)."""
+    heuristic."""
     model = PlacementModel.build(checked, program, config, candidates)
     union = reduce_hosts(model)
     if len(union) > 2:

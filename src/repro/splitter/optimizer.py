@@ -23,7 +23,6 @@ transfers and field accesses".  We reproduce that scheme:
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 from ..lang.typecheck import CheckedProgram
@@ -567,34 +566,17 @@ def assign_hosts(
     program: ir.IRProgram,
     config: TrustConfiguration,
     candidates: CandidateSets,
-    engine: Optional[str] = None,
 ) -> Assignment:
     """Pick a host for every field and statement.
 
-    Engine selection (``engine`` argument, else the ``REPRO_MINCUT``
-    environment variable, else ``auto``):
-
-    * ``auto`` — exact min-cut when the instance reduces to two eligible
-      hosts (see :mod:`repro.splitter.mincut`), otherwise the chain-DP
-      heuristic.  This is the default: the exact path is both faster and
-      provably optimal where it applies.
-    * ``mincut`` — as ``auto``, but non-reducible instances additionally
-      get per-pair min-cut refinement of the heuristic result (never
-      worse than the heuristic, may move equal-cost plateaus).
-    * ``0`` / ``heuristic`` — the heuristic only, as an escape hatch.
+    One policy: the exact min-cut when the instance reduces to two
+    eligible hosts (see :mod:`repro.splitter.mincut`), otherwise the
+    chain-DP heuristic :class:`Optimizer`.  Both minimise the same
+    Section 6 cost under the Section 4 candidate sets.
     """
-    if engine is None:
-        engine = os.environ.get("REPRO_MINCUT", "auto") or "auto"
-    if engine in ("0", "off", "heuristic"):
-        return Optimizer(checked, program, config, candidates).run()
-    from .mincut import PlacementModel, refine_pairwise, try_exact
+    from .mincut import try_exact
 
     assignment = try_exact(checked, program, config, candidates)
     if assignment is not None:
         return assignment
-    heuristic = Optimizer(checked, program, config, candidates).run()
-    if engine == "mincut":
-        model = PlacementModel.build(checked, program, config, candidates)
-        hosts = refine_pairwise(model, model.assignment_hosts(heuristic))
-        return model.to_assignment(hosts)
-    return heuristic
+    return Optimizer(checked, program, config, candidates).run()

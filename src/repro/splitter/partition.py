@@ -11,15 +11,16 @@ executes; it embeds a one-way hash of the splitter inputs (Section 8) so
 subprograms produced under different assumptions refuse to interoperate.
 
 **Whole-pipeline cache.**  The splitter is a pure function of
-(source, trust configuration, engine), so results are memoized end to
-end in :mod:`.cache`: a repeated ``split_source`` call rehydrates a
+(source, trust configuration), so results are memoized end to end in
+:mod:`.cache`: a repeated ``split_source`` call rehydrates a
 fresh, observably identical :class:`SplitProgram` from the encoded
 artifact instead of re-running the pipeline.  Cache hits return a
 :class:`SplitResult` whose intermediate artifacts (checked program, IR,
 candidates, assignment) are rebuilt lazily on first access — the
 runtime only ever needs the split itself, so sweeps never pay for
-intermediates they do not inspect.  Set ``REPRO_SPLIT_CACHE=0`` to
-force every call down the full pipeline.
+intermediates they do not inspect.  ``_split_uncached`` is the full
+pipeline with no cache on either side; the tests use it as the
+reference the cache is held to.
 """
 
 from __future__ import annotations
@@ -103,7 +104,6 @@ class SplitResult:
 def _split_uncached(
     source: Union[str, CheckedProgram],
     config: TrustConfiguration,
-    engine: Optional[str] = None,
 ) -> SplitResult:
     """One full pipeline run, no cache consulted on either side."""
     if isinstance(source, str):
@@ -116,7 +116,7 @@ def _split_uncached(
     if program.main_key is None:
         raise SplitError("program has no main method to start from")
     candidates = compute_candidates(checked, program, config)
-    assignment = assign_hosts(checked, program, config, candidates, engine)
+    assignment = assign_hosts(checked, program, config, candidates)
     fragments, entries = translate(program, assignment, config)
     insert_forwards(fragments, entries, program)
 
@@ -186,24 +186,21 @@ def _source_digest(source: Union[str, CheckedProgram]) -> Optional[str]:
 def split_program(
     source: Union[str, CheckedProgram],
     config: TrustConfiguration,
-    engine: Optional[str] = None,
 ) -> SplitResult:
     """Partition a mini-Jif program for the given trust configuration.
 
-    ``engine`` picks the host-assignment engine (``auto`` | ``mincut`` |
-    ``heuristic``); see :func:`repro.splitter.optimizer.assign_hosts`.
     Served from the whole-pipeline cache when the same (source, trust
-    configuration, engine) triple has been split before.
+    configuration) pair has been split before.
     """
-    key = split_cache.split_key(_source_digest(source), config, engine)
+    key = split_cache.split_key(_source_digest(source), config)
     if key is not None:
         split = split_cache.lookup(key, config)
         if split is not None:
             return SplitResult(
                 split,
-                recompute=lambda: _split_uncached(source, config, engine),
+                recompute=lambda: _split_uncached(source, config),
             )
-    result = _split_uncached(source, config, engine)
+    result = _split_uncached(source, config)
     if key is not None:
         try:
             split_cache.store(key, encode_split(result.split))
@@ -212,8 +209,6 @@ def split_program(
     return result
 
 
-def split_source(
-    source: str, config: TrustConfiguration, engine: Optional[str] = None
-) -> SplitResult:
+def split_source(source: str, config: TrustConfiguration) -> SplitResult:
     """Convenience wrapper returning the full :class:`SplitResult`."""
-    return split_program(source, config, engine)
+    return split_program(source, config)

@@ -4,8 +4,8 @@ Pins the cache contract the tentpole relies on:
 
 * a repeated parse of byte-identical source returns the *same* token
   tuple / AST / checked-program objects (hit = identity);
-* ``REPRO_PARSE_CACHE=0`` bypasses the cache entirely and the uncached
-  artifacts are bit-identical to the cached ones;
+* cached artifacts are bit-identical to a direct ``Lexer`` / ``Parser``
+  / ``TypeChecker`` run on the same source;
 * cached ASTs survive a full split + execute pipeline unmutated, so
   sharing them across runs is safe;
 * typecheck results are keyed by the acts-for hierarchy's version
@@ -18,6 +18,9 @@ from repro import progen
 from repro.labels import ActsForHierarchy, Principal
 from repro.lang import cache as frontend_cache
 from repro.lang import check_program, parse_program, pretty_program, tokenize
+from repro.lang.lexer import Lexer
+from repro.lang.parser import Parser
+from repro.lang.typecheck import TypeChecker
 from repro.runtime import run_split_program
 from repro.splitter import split_source
 from repro.trust import TrustConfiguration
@@ -28,26 +31,29 @@ SOURCE = progen.generate_program(4242)
 
 
 @pytest.fixture(autouse=True)
-def _fresh_cache(monkeypatch):
+def _fresh_cache():
     """Each test starts and ends with an empty frontend cache so object
-    identity assertions cannot leak across tests.  The cache is
-    force-enabled so the hit/identity tests stay meaningful even when
-    the whole suite runs under ``REPRO_PARSE_CACHE=0`` (the CI leg that
-    exercises the uncached path); the escape-hatch tests re-disable it
-    per test via ``monkeypatch``."""
-    monkeypatch.setenv(frontend_cache.ENV_FLAG, "1")
+    identity assertions cannot leak across tests."""
     frontend_cache.clear()
     yield
     frontend_cache.clear()
 
 
-def _snapshot(source):
+def _snapshot(tokens, program, checked):
     """Cache-independent observables of the frontend's output."""
-    tokens = tuple(tokenize(source))
-    program = parse_program(source)
     return (
         [(t.kind, t.text, t.pos.line, t.pos.column) for t in tokens],
         pretty_program(program),
+        sorted(
+            (key, repr(info.label), repr(info.loc_label), info.init_value)
+            for key, info in checked.fields.items()
+        ),
+        sorted((key, repr(label)) for key, label in checked.var_labels.items()),
+        sorted(checked.var_types.items()),
+        # Per-node tables are keyed by AST node ids, which differ between
+        # two parses; compare their contents as multisets.
+        sorted(map(repr, checked.expr_labels.values())),
+        sorted(map(repr, checked.stmt_pc.values())),
     )
 
 
@@ -84,23 +90,19 @@ class TestCacheHits:
 
 
 class TestEscapeHatch:
-    def test_disabled_cache_returns_fresh_objects(self, monkeypatch):
-        monkeypatch.setenv(frontend_cache.ENV_FLAG, "0")
-        assert not frontend_cache.enabled()
-        assert parse_program(SOURCE) is not parse_program(SOURCE)
-        assert tokenize(SOURCE) is not tokenize(SOURCE)
-
-    def test_disabled_cache_output_bit_identical(self, monkeypatch):
-        cached = _snapshot(SOURCE)
-        monkeypatch.setenv(frontend_cache.ENV_FLAG, "0")
-        uncached = _snapshot(SOURCE)
-        assert cached == uncached
-
-    def test_disabled_cache_stores_nothing(self, monkeypatch):
-        monkeypatch.setenv(frontend_cache.ENV_FLAG, "0")
-        parse_program(SOURCE)
-        stats = frontend_cache.stats()
-        assert all(entry["entries"] == 0 for entry in stats.values())
+    def test_disabled_cache_output_bit_identical(self):
+        hierarchy = progen.config().hierarchy
+        program = parse_program(SOURCE)
+        cached = _snapshot(
+            tokenize(SOURCE), program, check_program(program, hierarchy)
+        )
+        reference = Parser(SOURCE).parse_program()
+        direct = _snapshot(
+            Lexer(SOURCE).scan(),
+            reference,
+            TypeChecker(reference, hierarchy).check(),
+        )
+        assert cached == direct
 
 
 class TestMutationSafety:

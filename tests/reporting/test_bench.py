@@ -2,8 +2,8 @@
 
 The perf numbers themselves are gated in CI against checked-in
 ``BENCH_PR*.json`` baselines; these tests pin the harness *mechanics* —
-that envelope/legacy detection is structural (an envelope missing
-optional sections must not be misread as a legacy flat file), and that
+that envelope detection is structural (an envelope missing optional
+sections is still an envelope, anything else is rejected), and that
 the ``--profile`` attribution is exhaustive and leaves the runtime
 unpatched afterwards.
 """
@@ -33,26 +33,22 @@ class TestReferenceRun:
             "jobs": 1,
         }
         assert _reference_run(envelope, "x.json") is envelope["current"]
-        assert "legacy" not in capsys.readouterr().err
+        assert capsys.readouterr().err == ""
 
     def test_envelope_missing_optional_sections_does_not_warn(self, capsys):
-        # The regression: detection keyed on optional keys used to call
-        # an envelope without a durability/throughput block "legacy".
+        # The regression: detection keyed on optional keys used to
+        # misread an envelope without a durability/throughput block.
         run = _run_sections()  # no durability, cache, throughput ...
         envelope = {"baseline": None, "current": run}  # no jobs either
         assert _reference_run(envelope, "x.json") is run
         assert capsys.readouterr().err == ""
 
-    def test_legacy_flat_file_warns(self, capsys):
-        legacy = _run_sections()
-        assert _reference_run(legacy, "BENCH_PR5.json") is legacy
-        err = capsys.readouterr().err
-        assert "legacy flat" in err
-        assert "BENCH_PR5.json" in err
-
     def test_unrecognized_file_is_an_error(self):
-        with pytest.raises(ValueError, match="not a bench report"):
-            _reference_run({"something": "else"}, "x.json")
+        # A flat report (run sections at the top level, no envelope) is
+        # rejected like any other non-report.
+        for data in ({"something": "else"}, _run_sections()):
+            with pytest.raises(ValueError, match="not a bench report"):
+                _reference_run(data, "x.json")
 
     def test_envelope_with_null_current_is_an_error(self):
         # A truncated write must fail loudly, not silently gate against

@@ -162,3 +162,22 @@ def test_lean_pool_opts_still_win_over_the_reset_default():
     again = pool.acquire()
     assert again is session
     assert again.network.record_logs is False
+
+
+def test_pooled_runs_each_persist_under_env_storage(tmp_path, monkeypatch):
+    """Under ``REPRO_STORAGE=sqlite`` a completed run discards its auto
+    tier; recycling the session must create a fresh one, so every pooled
+    run commits its boundaries — not only the first."""
+    from repro.runtime import storage
+
+    monkeypatch.setenv("REPRO_STORAGE", "sqlite")
+    monkeypatch.setenv("REPRO_STORAGE_DIR", str(tmp_path))
+    split = split_source(ot.source(rounds=1), ot.config()).split
+    pool = SessionPool(RuntimeImage.for_split(split), size=1)
+    for _ in range(3):
+        before = storage.stats()["boundaries"]
+        session = pool.acquire()
+        session.run()
+        pool.release(session)
+        assert storage.stats()["boundaries"] > before
+    assert pool.created == 1

@@ -597,6 +597,20 @@ class TestEnvironmentDefault:
         assert fingerprint(session) == oracle
         assert session.network.fault_events == []
 
+    def test_storage_dir_is_read_on_every_call(self, monkeypatch, tmp_path):
+        from repro.runtime.storage import default_storage
+
+        monkeypatch.setenv("REPRO_STORAGE", "sqlite")
+        for name in ("first", "second"):
+            base = tmp_path / name
+            monkeypatch.setenv("REPRO_STORAGE_DIR", str(base))
+            storage = default_storage()
+            try:
+                assert os.path.dirname(storage.directory) == str(base)
+                assert os.path.exists(storage.db_path)
+            finally:
+                storage.discard()
+
     def test_unknown_backend_name_is_rejected(self, monkeypatch):
         from repro.runtime.storage import default_storage
 

@@ -1,16 +1,16 @@
-"""Property test: the placement engine never changes what a program
-*computes* — only where it runs.
+"""Property test: placement never changes what a program *computes* —
+only where it runs.
 
 For seeded random programs under seeded random trust configurations
 (preferences and link costs perturbed around progen's A/B/T setup),
-every engine — the chain-DP heuristic, the exact min-cut, and the
-pairwise-refined hybrid — must
+both the production split (exact min-cut where it applies, else the
+chain-DP heuristic) and the heuristic-only oracle split must
 
-* produce a split the validator accepts (``split_source`` runs
+* produce a split the validator accepts (the pipeline runs
   ``validate_split`` as its last stage, so success *is* acceptance), and
 * execute to exactly the single-host oracle's field values.
 
-Engines may legitimately disagree on placement (equal-cost optima), so
+The two may legitimately disagree on placement (equal-cost optima), so
 message counts are *not* compared — observable results are.
 """
 
@@ -24,14 +24,16 @@ from repro.runtime import run_single_host, run_split_program
 from repro.splitter import split_source
 from repro.trust import HostDescriptor, TrustConfiguration
 
-ENGINES = ("heuristic", "auto", "mincut")
+from tests.splitter.heuristic import heuristic_split
+
+SPLITTERS = {"heuristic": heuristic_split, "production": split_source}
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def random_trust_config(seed: int) -> TrustConfiguration:
     """Progen's A/B/T hosts with seeded random preferences and link
-    costs — enough variation to exercise both engine paths (cheap links
+    costs — enough variation to exercise both placement paths (cheap links
     flip reduce_hosts' domination test, preferences move fields)."""
     rng = random.Random(seed ^ 0xC0FFEE)
     config = TrustConfiguration(
@@ -63,18 +65,18 @@ def test_engines_agree_with_oracle_and_each_other(seed):
     source = generate_program(seed)
     oracle = run_single_host(source)
     results = {}
-    for engine in ENGINES:
-        result = split_source(source, random_trust_config(seed), engine=engine)
+    for name, split in SPLITTERS.items():
+        result = split(source, random_trust_config(seed))
         outcome = run_split_program(result.split)
-        results[engine] = {
+        results[name] = {
             key: outcome.field_value(*key) for key in result.split.fields
         }
-        for (cls, field), value in results[engine].items():
+        for (cls, field), value in results[name].items():
             expected = oracle.fields.get((cls, field, None), 0)
             assert value == expected, (
-                f"seed={seed} engine={engine}: {cls}.{field} = {value!r}, "
+                f"seed={seed} split={name}: {cls}.{field} = {value!r}, "
                 f"oracle {expected!r}\n{source}"
             )
-    assert results["heuristic"] == results["auto"] == results["mincut"], (
-        f"seed={seed}: engines disagree on observable results\n{source}"
+    assert results["heuristic"] == results["production"], (
+        f"seed={seed}: placements disagree on observable results\n{source}"
     )

@@ -1,7 +1,7 @@
 """Determinism of the optimizer and the parallel sweep drivers.
 
-The splitter is a pure function of (program, trust configuration,
-engine): repeated runs must produce identical placements — statement
+The splitter is a pure function of (program, trust configuration):
+repeated runs must produce identical placements — statement
 uids are allocated from a global counter, so statement hosts are
 compared by structural (method, walk-order) position rather than uid.
 
@@ -20,8 +20,10 @@ from repro.runtime.executor import run_split_program
 from repro.runtime.faultsweep import crash_point_sweep, sweep
 from repro.splitter import cache as split_cache
 from repro.splitter import ir, split_source
+from repro.splitter.partition import _split_uncached
 
 from tests.programs import OT_SOURCE, config_abt
+from tests.splitter.heuristic import heuristic_split
 
 fork_only = pytest.mark.skipif(
     not parallel.fork_available(),
@@ -43,16 +45,19 @@ def _placement(result):
     )
 
 
-@pytest.mark.parametrize("engine", ["heuristic", "auto", "mincut"])
-def test_assignment_identical_across_repeated_runs(engine):
+@pytest.mark.parametrize(
+    "split",
+    [heuristic_split, split_source],
+    ids=["heuristic", "auto"],
+)
+def test_assignment_identical_across_repeated_runs(split):
     cases = [
         (generate_program(7), progen_config),
         (OT_SOURCE, config_abt),
     ]
     for source, config_factory in cases:
         snapshots = [
-            _placement(split_source(source, config_factory(), engine=engine))
-            for _ in range(3)
+            _placement(split(source, config_factory())) for _ in range(3)
         ]
         assert snapshots[0] == snapshots[1] == snapshots[2]
 
@@ -62,7 +67,7 @@ def test_cached_and_uncached_splits_observably_identical(
 ):
     """The split cache is a pure accelerator: a split served from the
     durable artifact tier must behave bit-identically to one produced
-    with the cache disabled outright."""
+    by the uncached pipeline."""
 
     def run(split):
         outcome = run_split_program(split)
@@ -73,11 +78,8 @@ def test_cached_and_uncached_splits_observably_identical(
             [(m.kind, m.src, m.dst) for m in outcome.network.message_log],
         )
 
-    monkeypatch.setenv(split_cache.ENV_FLAG, "0")
-    split_cache.clear()
-    uncached = run(split_source(OT_SOURCE, config_abt()).split)
+    uncached = run(_split_uncached(OT_SOURCE, config_abt()).split)
 
-    monkeypatch.setenv(split_cache.ENV_FLAG, "1")
     monkeypatch.setenv(split_cache.ENV_DIR, str(tmp_path))
     split_cache.clear()
     split_source(OT_SOURCE, config_abt())  # populate both tiers

@@ -8,9 +8,8 @@ Three layers are pinned here:
 * ``solve_two_host`` is exact — verified by brute force over random
   small instances, and differentially against the heuristic over the
   progen corpus (the cut may never cost more);
-* the dispatch plumbing: progen's A/B/T configuration reduces to a
-  two-host instance, ``REPRO_MINCUT=0`` falls back to the heuristic
-  bit-for-bit, and pairwise refinement never worsens a 3-host result.
+* progen's A/B/T configuration reduces to a two-host instance, so
+  production placement takes the exact path there.
 """
 
 import itertools
@@ -20,7 +19,7 @@ import pytest
 
 from repro.progen import config as progen_config
 from repro.progen import generate_program
-from repro.splitter import ir, split_source
+from repro.splitter import split_source
 from repro.splitter.mincut import (
     PlacementModel,
     reduce_hosts,
@@ -34,24 +33,13 @@ from tests.programs import (
     SIMPLE_SOURCE,
     config_abt,
 )
+from tests.splitter.heuristic import heuristic_split
 
 
 def _build_model(result, config):
     return PlacementModel.build(
         result.checked, result.program, config, result.candidates
     )
-
-
-def _stmt_hosts_in_order(result):
-    """Statement hosts keyed by (method, walk position) — uid values
-    differ between splitter runs, so compare by structural position."""
-    return {
-        mkey: [
-            result.assignment.statements[stmt.info.uid]
-            for stmt in ir.walk_stmts(method.body)
-        ]
-        for mkey, method in result.program.methods.items()
-    }
 
 
 # -- cost-model parity -------------------------------------------------------
@@ -64,7 +52,7 @@ def _stmt_hosts_in_order(result):
 )
 def test_model_cost_matches_optimizer_total_cost(source):
     config = config_abt()
-    result = split_source(source, config, engine="heuristic")
+    result = heuristic_split(source, config)
     model = _build_model(result, config)
     optimizer = Optimizer(
         result.checked, result.program, config, result.candidates
@@ -78,9 +66,7 @@ def test_model_cost_matches_optimizer_total_cost(source):
 def test_model_cost_parity_over_progen_corpus():
     for seed in range(10):
         config = progen_config()
-        result = split_source(
-            generate_program(seed), config, engine="heuristic"
-        )
+        result = heuristic_split(generate_program(seed), config)
         model = _build_model(result, config)
         optimizer = Optimizer(
             result.checked, result.program, config, result.candidates
@@ -97,10 +83,8 @@ def test_model_cost_parity_over_progen_corpus():
 def test_exact_engine_never_costs_more_than_heuristic():
     for seed in range(25):
         source = generate_program(seed)
-        heuristic = split_source(
-            source, progen_config(), engine="heuristic"
-        )
-        exact = split_source(source, progen_config(), engine="auto")
+        heuristic = heuristic_split(source, progen_config())
+        exact = split_source(source, progen_config())
         # Each run's uids are fresh, so each cost is evaluated against
         # the model built from that run's own artifacts; the two models
         # describe the same program, so the costs are comparable.
@@ -113,20 +97,6 @@ def test_exact_engine_never_costs_more_than_heuristic():
         assert cost_e <= cost_h + 1e-6, (
             f"seed={seed}: exact {cost_e} > heuristic {cost_h}"
         )
-
-
-def test_mincut_refinement_never_worse_on_three_hosts():
-    # OT on A/B/T does not reduce to two hosts (forced statements pin
-    # several hosts), so the "mincut" engine takes the heuristic +
-    # pairwise-refinement path.
-    config = config_abt()
-    heuristic = split_source(OT_SOURCE, config, engine="heuristic")
-    refined = split_source(OT_SOURCE, config_abt(), engine="mincut")
-    model_h = _build_model(heuristic, config)
-    cost_h = model_h.cost(model_h.assignment_hosts(heuristic.assignment))
-    model_r = _build_model(refined, config_abt())
-    cost_r = model_r.cost(model_r.assignment_hosts(refined.assignment))
-    assert cost_r <= cost_h + 1e-6
 
 
 # -- exactness by brute force ------------------------------------------------
@@ -196,37 +166,15 @@ def test_two_host_cut_is_exact_by_brute_force():
         ), f"trial={trial}"
 
 
-# -- dispatch plumbing -------------------------------------------------------
+# -- the exact path applies to progen --------------------------------------
 
 
 def test_progen_config_reduces_to_two_hosts():
     config = progen_config()
-    result = split_source(
-        generate_program(0), config, engine="heuristic"
-    )
+    result = split_source(generate_program(0), config)
     model = _build_model(result, config)
     union = reduce_hosts(model)
     assert len(union) <= 2, (
         "A/B/T progen instances must reduce (B is dominated), or the "
         f"benchmark sweep loses the exact path; got {union}"
     )
-
-
-def test_repro_mincut_env_escape_hatch(monkeypatch):
-    source = generate_program(3)
-    heuristic = split_source(source, progen_config(), engine="heuristic")
-    monkeypatch.setenv("REPRO_MINCUT", "0")
-    fallback = split_source(source, progen_config())
-    assert fallback.assignment.fields == heuristic.assignment.fields
-    assert _stmt_hosts_in_order(fallback) == _stmt_hosts_in_order(
-        heuristic
-    )
-    monkeypatch.setenv("REPRO_MINCUT", "auto")
-    exact = split_source(source, progen_config())
-    model_e = _build_model(exact, progen_config())
-    model_h = _build_model(heuristic, progen_config())
-    assert model_e.cost(
-        model_e.assignment_hosts(exact.assignment)
-    ) <= model_h.cost(
-        model_h.assignment_hosts(heuristic.assignment)
-    ) + 1e-6

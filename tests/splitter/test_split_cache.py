@@ -50,12 +50,8 @@ PROGEN_SEEDS = 50
 
 @pytest.fixture(autouse=True)
 def _clean_cache(monkeypatch):
-    # This battery tests the cache machinery itself, so it runs with the
-    # cache force-enabled and no ambient artifact directory — even on
-    # the REPRO_SPLIT_CACHE=0 CI leg, whose point is that the *rest* of
-    # the suite takes the uncached path.  The disabled-mode test below
-    # overrides the flag back to "0" explicitly.
-    monkeypatch.setenv(cache.ENV_FLAG, "1")
+    # This battery tests the cache machinery itself, so it runs with no
+    # ambient artifact directory.
     monkeypatch.delenv(cache.ENV_DIR, raising=False)
     cache.clear()
     yield
@@ -179,9 +175,9 @@ def test_acts_for_edge_invalidates():
     config = _config_with_own_hierarchy()
     digest = frontend_cache.digest(OT_SOURCE)
     assert not split_source(OT_SOURCE, config).cached
-    before = cache.split_key(digest, config, None)
+    before = cache.split_key(digest, config)
     config.hierarchy.add(Principal("Alice"), Principal("Bob"))
-    after = cache.split_key(digest, config, None)
+    after = cache.split_key(digest, config)
     assert before != after
     assert not split_source(OT_SOURCE, config).cached
 
@@ -199,8 +195,8 @@ def test_host_trust_change_invalidates():
         HostDescriptor.of("T", "{Alice:; Bob:}", "{?:Alice, Bob}"),
     ])
     digest = frontend_cache.digest(OT_SOURCE)
-    assert cache.split_key(digest, trusted, None) != cache.split_key(
-        digest, stronger, None
+    assert cache.split_key(digest, trusted) != cache.split_key(
+        digest, stronger
     )
     assert not split_source(OT_SOURCE, trusted).cached
     assert not split_source(OT_SOURCE, stronger).cached
@@ -209,21 +205,14 @@ def test_host_trust_change_invalidates():
 def test_preference_pin_and_link_cost_invalidate():
     config = config_abt()
     digest = frontend_cache.digest(OT_SOURCE)
-    keys = [cache.split_key(digest, config, None)]
+    keys = [cache.split_key(digest, config)]
     config.set_preference("Bob", "B", 0.25)
-    keys.append(cache.split_key(digest, config, None))
+    keys.append(cache.split_key(digest, config))
     config.pin_field("OTExample", "request", "B")
-    keys.append(cache.split_key(digest, config, None))
+    keys.append(cache.split_key(digest, config))
     config.set_link_cost("A", "T", 2.5)
-    keys.append(cache.split_key(digest, config, None))
+    keys.append(cache.split_key(digest, config))
     assert len(set(keys)) == len(keys)
-
-
-def test_engine_choice_is_part_of_the_key():
-    config = config_abt()
-    assert not split_source(OT_SOURCE, config, engine="heuristic").cached
-    assert not split_source(OT_SOURCE, config, engine="mincut").cached
-    assert split_source(OT_SOURCE, config, engine="heuristic").cached
 
 
 # ---------------------------------------------------------------------------
@@ -280,21 +269,26 @@ def test_damaged_artifact_recompiles_with_recorded_miss(
     assert stats["hits"] == 0 and stats["misses"] == 1
 
 
-def test_artifact_under_wrong_engine_key_is_rejected(tmp_path, monkeypatch):
+def test_artifact_under_wrong_config_key_is_rejected(tmp_path, monkeypatch):
     config = config_abt()
+    other = config_abt()
+    other.set_link_cost("A", "T", 2.5)
     monkeypatch.setenv(cache.ENV_DIR, str(tmp_path))
-    split_source(OT_SOURCE, config, engine="heuristic")
+    split_source(OT_SOURCE, config)
     digest = frontend_cache.digest(OT_SOURCE)
-    heuristic_key = cache.split_key(digest, config, "heuristic")
-    mincut_key = cache.split_key(digest, config, "mincut")
-    heuristic_path = cache.artifact_path(heuristic_key, str(tmp_path))
-    mincut_path = cache.artifact_path(mincut_key, str(tmp_path))
-    with open(heuristic_path, "rb") as src, open(mincut_path, "wb") as dst:
+    right_path = cache.artifact_path(
+        cache.split_key(digest, config), str(tmp_path)
+    )
+    wrong_path = cache.artifact_path(
+        cache.split_key(digest, other), str(tmp_path)
+    )
+    with open(right_path, "rb") as src, open(wrong_path, "wb") as dst:
         dst.write(src.read())
     cache.clear()
     # The copied artifact passes magic and digest checks, but its
-    # embedded key names the wrong engine: verified away, recompiled.
-    result = split_source(OT_SOURCE, config, engine="mincut")
+    # embedded key names the wrong trust configuration: verified away,
+    # recompiled.
+    result = split_source(OT_SOURCE, other)
     assert not result.cached
     assert cache.stats()["split.disk"]["misses"] == 1
 
@@ -352,28 +346,6 @@ def _freeze(observation):
 def _freeze_result(result):
     worker_id, cached, observation = result
     return (worker_id, cached, _freeze(observation))
-
-
-# ---------------------------------------------------------------------------
-# Escape hatch
-# ---------------------------------------------------------------------------
-
-
-def test_disabled_cache_is_never_consulted(monkeypatch):
-    config = config_abt()
-    baseline = observe(split_source(OT_SOURCE, config).split)
-    monkeypatch.setenv(cache.ENV_FLAG, "0")
-    cache.clear()
-    first = split_source(OT_SOURCE, config)
-    second = split_source(OT_SOURCE, config)
-    assert not first.cached and not second.cached
-    assert observe(second.split) == baseline
-    stats = cache.stats()
-    assert stats["split.memory"] == {
-        "hits": 0, "misses": 0, "entries": 0, "hit_rate": 0.0,
-    }
-    assert stats["split.disk"]["hits"] == 0
-    assert stats["split.disk"]["misses"] == 0
 
 
 def test_unknown_source_digest_stands_aside():
