@@ -43,12 +43,16 @@ class TestReferenceRun:
         assert _reference_run(envelope, "x.json") is run
         assert capsys.readouterr().err == ""
 
+    def test_flat_report_is_an_error(self, capsys):
+        # Run sections at the top level, with no envelope, are rejected
+        # rather than read as the reference run.
+        with pytest.raises(ValueError, match="not a bench report"):
+            _reference_run(_run_sections(), "x.json")
+        assert capsys.readouterr().err == ""
+
     def test_unrecognized_file_is_an_error(self):
-        # A flat report (run sections at the top level, no envelope) is
-        # rejected like any other non-report.
-        for data in ({"something": "else"}, _run_sections()):
-            with pytest.raises(ValueError, match="not a bench report"):
-                _reference_run(data, "x.json")
+        with pytest.raises(ValueError, match="not a bench report"):
+            _reference_run({"something": "else"}, "x.json")
 
     def test_envelope_with_null_current_is_an_error(self):
         # A truncated write must fail loudly, not silently gate against
