@@ -30,10 +30,9 @@ one structured line to stderr —
 :data:`repro.runtime.gateway.ERROR_CODES` — and exits non-zero, never
 a traceback.
 
-Repeated parses of byte-identical source are served from the frontend
-cache (``repro.lang.cache``).  Repeated *splits* of the same (program,
-trust configuration) pair are served from the whole-pipeline split
-cache (``repro.splitter.cache``); point ``REPRO_SPLIT_CACHE_DIR`` at a
+Repeated splits of the same (program, trust configuration) pair are
+served from the whole-pipeline split cache (``repro.splitter.cache``),
+the only pipeline cache; point ``REPRO_SPLIT_CACHE_DIR`` at a
 directory to persist split artifacts across runs (digest-verified on
 load).
 
@@ -559,8 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         help="time the Table 1 workloads and a seeded progen sweep, "
-             "staged as parse/typecheck/split/execute; reports label, "
-             "frontend (parse), and split cache hit rates — set "
+             "staged as parse/typecheck/split/execute; reports label "
+             "and split cache hit rates — set "
              "REPRO_SPLIT_CACHE_DIR to persist split artifacts across "
              "runs",
     )

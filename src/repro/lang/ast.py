@@ -469,11 +469,18 @@ class ClassDecl(Node):
 
 
 class Program(Node):
-    __slots__ = ("classes",)
+    """A whole program, carrying ``source``: the text it was parsed from
+    (its content address is the split-cache key and the Section 8
+    program hash)."""
 
-    def __init__(self, classes: Sequence[ClassDecl], pos=None) -> None:
+    __slots__ = ("classes", "source")
+
+    def __init__(
+        self, classes: Sequence[ClassDecl], source: str, pos=None
+    ) -> None:
         super().__init__(pos)
         self.classes = list(classes)
+        self.source = source
 
     def class_named(self, name: str) -> Optional[ClassDecl]:
         for cls in self.classes:

@@ -31,8 +31,6 @@ recovered by bisecting the precomputed line-start table.  The two
 derivations agree for every offset — both count the line starts at or
 before the offset — and ``tests/lang/test_lexer_differential.py``
 cross-checks them token by token over the whole corpus.
-
-Token tuples are cached per source digest (see ``lang/cache.py``).
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ import re
 from bisect import bisect_right
 from typing import Iterator, List, NamedTuple, Sequence
 
-from . import cache as _frontend_cache
 from .errors import LexError, SourcePosition
 
 KEYWORDS = frozenset(
@@ -221,11 +218,6 @@ class Lexer:
 def tokenize(source: str) -> Sequence[Token]:
     """Tokenize ``source``, appending a single end-of-file token.
 
-    Returns an immutable tuple, cached per content digest.
+    Returns an immutable tuple.
     """
-    key = _frontend_cache.digest(source)
-    tokens = _frontend_cache.lookup_tokens(key)
-    if tokens is None:
-        tokens = tuple(Lexer(source).scan())
-        _frontend_cache.store_tokens(key, tokens)
-    return tokens
+    return tuple(Lexer(source).scan())

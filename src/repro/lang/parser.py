@@ -11,13 +11,13 @@ from typing import List, Optional
 
 from ..labels import ConfLabel, ConfPolicy, IntegLabel, Label, Principal
 from . import ast
-from . import cache as _frontend_cache
 from .errors import ParseError
 from .lexer import EOF_KIND, Token, tokenize
 
 
 class Parser:
     def __init__(self, source: str) -> None:
+        self._source = source
         self._tokens = tokenize(source)
         self._index = 0
 
@@ -81,7 +81,7 @@ class Parser:
             classes.append(self.parse_class())
         if not classes:
             raise ParseError("empty program", pos)
-        return ast.Program(classes, pos)
+        return ast.Program(classes, self._source, pos)
 
     def parse_class(self) -> ast.ClassDecl:
         pos = self._expect_keyword("class").pos
@@ -512,16 +512,10 @@ class Parser:
 def parse_program(source: str) -> ast.Program:
     """Parse a complete mini-Jif program.
 
-    The resulting AST is cached per content digest and shared across
-    repeated parses of byte-identical source (every consumer treats it
-    as immutable).
+    The resulting :class:`~repro.lang.ast.Program` carries ``source``,
+    the text it was parsed from (the split cache's key).
     """
-    key = _frontend_cache.digest(source)
-    program = _frontend_cache.lookup_ast(key)
-    if program is None:
-        program = Parser(source).parse_program()
-        _frontend_cache.store_ast(key, program)
-    return program
+    return Parser(source).parse_program()
 
 
 def parse_stmt(source: str) -> ast.Stmt:

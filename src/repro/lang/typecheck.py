@@ -972,29 +972,8 @@ class TypeChecker:
 
 
 def check_program(program: ast.Program, hierarchy=None) -> CheckedProgram:
-    """Type-check ``program`` under an optional acts-for hierarchy.
-
-    When ``program`` came out of the frontend cache, the resulting
-    :class:`CheckedProgram` is memoized per (source digest, hierarchy
-    ``cache_key``) pair: the hierarchy key embeds the instance serial
-    and the mutation count, so a result checked under an older
-    hierarchy state is never returned for a newer one.  Everything
-    downstream treats the shared result as immutable
-    (``tests/lang/test_frontend_cache.py`` pins this).
-    """
-    from . import cache as _frontend_cache
-
-    digest = _frontend_cache.ast_digest(program)
-    if digest is None:
-        return TypeChecker(program, hierarchy).check()
-    from ..labels import EMPTY_HIERARCHY
-
-    hierarchy_key = (hierarchy or EMPTY_HIERARCHY).cache_key
-    checked = _frontend_cache.lookup_checked(digest, hierarchy_key)
-    if checked is None:
-        checked = TypeChecker(program, hierarchy).check()
-        _frontend_cache.store_checked(digest, hierarchy_key, checked)
-    return checked
+    """Type-check ``program`` under an optional acts-for hierarchy."""
+    return TypeChecker(program, hierarchy).check()
 
 
 def check_source(source: str, hierarchy=None) -> CheckedProgram:

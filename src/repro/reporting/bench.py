@@ -28,10 +28,16 @@ import time
 from typing import Dict, Optional
 
 from .. import parallel, progen
+from ..labels.cache import reset_stats as reset_label_stats
+from ..labels.cache import stats as label_stats
 from ..lang.parser import parse_program
 from ..lang.typecheck import check_program
 from ..runtime import DistributedExecutor
+from ..runtime.storage import reset_stats as reset_durability_stats
+from ..runtime.storage import stats as durability_stats
 from ..splitter import split_program
+from ..splitter.cache import reset_stats as reset_split_stats
+from ..splitter.cache import stats as split_stats
 from ..workloads import listcompare, ot, tax, work
 
 #: Stage keys, in pipeline order.
@@ -41,76 +47,6 @@ STAGES = ("parse", "typecheck", "split", "execute")
 DEFAULT_SEEDS = 200
 #: Seeds used by ``--quick`` (CI smoke / regression gate).
 QUICK_SEEDS = 50
-
-
-def _cache_stats() -> Dict[str, Dict[str, int]]:
-    """Label-layer and frontend cache counters, merged into one section
-    (frontend tables are prefixed ``frontend.``), or empty when a cache
-    layer is absent (lets this harness measure pre-optimization
-    checkouts unchanged)."""
-    merged: Dict[str, Dict[str, int]] = {}
-    try:
-        from ..labels.cache import stats
-    except ImportError:
-        pass
-    else:
-        merged.update(stats())
-    try:
-        from ..lang.cache import stats as frontend_stats
-    except ImportError:
-        pass
-    else:
-        merged.update(frontend_stats())
-    try:
-        from ..splitter.cache import stats as split_stats
-    except ImportError:
-        pass
-    else:
-        merged.update(split_stats())
-    return merged
-
-
-def _durability_stats() -> Dict[str, object]:
-    """Durable-storage counters (WAL appends, checkpoints, boundary
-    commits, fsyncs, rehydrations, degradations, retries, per-op
-    timings), or empty when the storage layer is absent.  All zeros
-    under the in-memory default; ``REPRO_STORAGE=sqlite`` routes every
-    benched session through the durable tier and populates them."""
-    try:
-        from ..runtime.storage import stats
-    except ImportError:
-        return {}
-    return stats()
-
-
-def _reset_durability_stats() -> None:
-    try:
-        from ..runtime.storage import reset_stats
-    except ImportError:
-        pass
-    else:
-        reset_stats()
-
-
-def _reset_cache_stats() -> None:
-    try:
-        from ..labels.cache import reset_stats
-    except ImportError:
-        pass
-    else:
-        reset_stats()
-    try:
-        from ..lang.cache import reset_stats as reset_frontend_stats
-    except ImportError:
-        pass
-    else:
-        reset_frontend_stats()
-    try:
-        from ..splitter.cache import reset_stats as reset_split_stats
-    except ImportError:
-        pass
-    else:
-        reset_split_stats()
 
 
 def time_workload(source: str, config) -> Dict[str, object]:
@@ -163,14 +99,14 @@ def run_bench(
     # Untimed warmup: pay one-time costs (imports, regex compilation,
     # intern-table population) before the clock starts, so a --quick
     # run is comparable against a scaled full-length baseline.  The
-    # warmup also seeds the frontend parse cache and the whole-pipeline
-    # split cache with progen seed 0; counter resets below keep the
-    # warmup out of the reported rates but deliberately leave the
-    # cached artifacts in place (that reuse is exactly what the cache
-    # layers are for).
+    # warmup also seeds the whole-pipeline split cache with progen seed
+    # 0; counter resets below keep the warmup out of the reported rates
+    # but deliberately leave the cached split in place (that reuse is
+    # exactly what the cache is for).
     time_workload(progen.generate_program(0), progen.config())
-    _reset_cache_stats()
-    _reset_durability_stats()
+    reset_label_stats()
+    reset_split_stats()
+    reset_durability_stats()
     report: Dict[str, object] = {
         "python": sys.version.split()[0],
         "platform": platform.platform(),
@@ -219,8 +155,10 @@ def run_bench(
         w["seconds"]["total"] for w in workloads.values()
     )
     report["end_to_end_seconds"] = end_to_end
-    report["cache"] = _cache_stats()
-    report["durability"] = _durability_stats()
+    # Label-lattice and split cache counters in one section (split
+    # tiers are prefixed ``split.``).
+    report["cache"] = {**label_stats(), **split_stats()}
+    report["durability"] = durability_stats()
     # Run invariants: observable behaviour no optimization may change.
     # Only seed-count-independent facts belong here, so a --quick run
     # can be checked bit-for-bit against a full-length baseline.
@@ -460,17 +398,6 @@ def main(
             f"(x{aggregate['speedup_vs_naive']:.2f} vs per-run "
             "reconstruction)"
         )
-    frontend = {
-        name: entry
-        for name, entry in report.get("cache", {}).items()
-        if name.startswith("frontend.")
-    }
-    if frontend:
-        summary = ", ".join(
-            f"{name.split('.', 1)[1]} {entry['hits']}/{entry['hits'] + entry['misses']}"
-            for name, entry in sorted(frontend.items())
-        )
-        print(f"bench: frontend cache hits {summary}")
     split_tiers = {
         name: entry
         for name, entry in report.get("cache", {}).items()

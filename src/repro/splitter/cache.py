@@ -1,19 +1,20 @@
 """Whole-pipeline content-addressed split cache.
 
-The frontend cache (:mod:`repro.lang.cache`) stops at typecheck;
-lowering, placement, and splitting still re-ran on every sweep
-iteration, keeping split the top bench stage.  For a fixed program,
+This is the only pipeline cache: parse, typecheck, lowering, placement
+and splitting are otherwise re-run on every call.  For a fixed program,
 trust configuration, and acts-for hierarchy the splitter's output is a
-pure function of its inputs, so this module memoizes ``split_source``
+pure function of its inputs, so this module memoizes ``split_program``
 results end to end, keyed by::
 
-    (sha256(source), TrustConfiguration.fingerprint())
+    (sha256(Program.source), TrustConfiguration.fingerprint())
 
-where the fingerprint covers hosts, preferences, field pins, link
-costs, and every acts-for edge — any change to the trust assumptions
-changes the key, so a stale split can never be served.  Placement is
-one policy (:func:`repro.splitter.optimizer.assign_hosts`), so the key
-needs no engine component.
+where ``Program.source`` is the text the parsed AST carries (so a
+string and an already-checked program share one key) and the
+fingerprint covers hosts, preferences, field pins, link costs, and
+every acts-for edge — any change to the trust assumptions changes the
+key, so a stale split can never be served.  Placement is one policy
+(:func:`repro.splitter.optimizer.assign_hosts`), so the key needs no
+engine component.
 
 Two tiers:
 
@@ -32,7 +33,7 @@ Two tiers:
   cache.
 
 The cache has no off switch.  Hit/miss counters feed ``python -m repro
-bench`` alongside the label and frontend cache stats.  The differential
+bench`` alongside the label-lattice cache stats.  The differential
 battery in ``tests/splitter/test_split_cache.py`` pins rehydrated splits
 observably identical to fresh compiles across both tiers.
 """
@@ -82,12 +83,8 @@ class SplitKey(NamedTuple):
         return hasher.hexdigest()
 
 
-def split_key(source_digest: Optional[str], config) -> Optional[SplitKey]:
-    """The cache key for one ``split_source`` call, or None when the
-    source digest is unknown (e.g. a checked program whose AST never
-    went through the frontend cache)."""
-    if source_digest is None:
-        return None
+def split_key(source_digest: str, config) -> SplitKey:
+    """The cache key for one ``split_program`` call."""
     return SplitKey(source_digest, config.fingerprint())
 
 
@@ -285,8 +282,8 @@ def store(key: SplitKey, encoded: Dict) -> None:
 
 def stats() -> Dict[str, Dict[str, float]]:
     """Hit/miss counters per tier, in the same shape as
-    :func:`repro.lang.cache.stats` so the bench report merges them into
-    its one cache section."""
+    :func:`repro.labels.cache.stats` so the bench report merges them
+    into its one cache section."""
     report = {}
     for tier in _TIERS:
         total = tier.hits + tier.misses

@@ -25,9 +25,9 @@ reference the cache is held to.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Optional, Union
 
-from ..lang import cache as frontend_cache
+from ..lang.cache import digest
 from ..lang.typecheck import CheckedProgram, check_source
 from ..trust import TrustConfiguration
 from . import cache as split_cache
@@ -108,10 +108,8 @@ def _split_uncached(
     """One full pipeline run, no cache consulted on either side."""
     if isinstance(source, str):
         checked = check_source(source, config.hierarchy)
-        program_text = source
     else:
         checked = source
-        program_text = repr(checked.program)
     program = lower_program(checked)
     if program.main_key is None:
         raise SplitError("program has no main method to start from")
@@ -120,7 +118,7 @@ def _split_uncached(
     fragments, entries = translate(program, assignment, config)
     insert_forwards(fragments, entries, program)
 
-    split = SplitProgram(config, config.digest(program_text))
+    split = SplitProgram(config, config.digest(checked.program.source))
     split.fragments = fragments
     for key, info in checked.fields.items():
         host = assignment.fields[key]
@@ -167,20 +165,9 @@ def _split_uncached(
     return SplitResult(split, checked, program, candidates, assignment)
 
 
-def _source_digest(source: Union[str, CheckedProgram]) -> Optional[str]:
-    """The content address of the program text, when one is knowable.
-
-    For checked-program inputs (the staged bench pipeline) the digest
-    is recovered through the frontend cache's AST reverse map; an AST
-    that never went through that cache has no stable address, and the
-    split cache simply stands aside for it.
-    """
-    if isinstance(source, str):
-        return frontend_cache.digest(source)
-    program = getattr(source, "program", None)
-    if program is None:
-        return None
-    return frontend_cache.ast_digest(program)
+def _source_digest(source: Union[str, CheckedProgram]) -> str:
+    """The content address of the program text."""
+    return digest(source if isinstance(source, str) else source.program.source)
 
 
 def split_program(
@@ -193,19 +180,17 @@ def split_program(
     configuration) pair has been split before.
     """
     key = split_cache.split_key(_source_digest(source), config)
-    if key is not None:
-        split = split_cache.lookup(key, config)
-        if split is not None:
-            return SplitResult(
-                split,
-                recompute=lambda: _split_uncached(source, config),
-            )
+    split = split_cache.lookup(key, config)
+    if split is not None:
+        return SplitResult(
+            split,
+            recompute=lambda: _split_uncached(source, config),
+        )
     result = _split_uncached(source, config)
-    if key is not None:
-        try:
-            split_cache.store(key, encode_split(result.split))
-        except SplitEncodeError:
-            pass
+    try:
+        split_cache.store(key, encode_split(result.split))
+    except SplitEncodeError:
+        pass
     return result
 
 

@@ -1,18 +1,14 @@
 """Common machinery for the Section 7.1 benchmark workloads.
 
-Workload sources are plain strings rebuilt by each ``source()`` call,
-so the Table 1 report, the fault sweeps, and the oracle checks all
-construct byte-identical programs many times over; the frontend cache
-(``repro.lang.cache``) keys on the source digest and serves every
-rebuild after the first from memory.  ``WorkloadResult.source_digest``
-exposes that content address for correlation with cache stats.
+Workload sources are plain strings rebuilt by each ``source()`` call;
+repeated splits of byte-identical source are served by the split cache
+(``repro.splitter.cache``).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from ..lang.cache import digest as source_digest
 from ..runtime import CostModel, DistributedExecutor, run_single_host
 from ..runtime.executor import ExecutionResult
 from ..splitter import SplitResult, split_source
@@ -41,11 +37,6 @@ class WorkloadResult:
     @property
     def elapsed(self) -> float:
         return self.execution.elapsed
-
-    @property
-    def source_digest(self) -> str:
-        """Content address of the source (the frontend cache key)."""
-        return source_digest(self.source)
 
     @property
     def lines(self) -> int:

@@ -14,13 +14,14 @@ from tests.programs import (
 
 
 def ast_equal(a, b) -> bool:
-    """Structural AST equality, ignoring positions."""
+    """Structural AST equality, ignoring parse metadata (positions and
+    the program's source text)."""
     if type(a) is not type(b):
         return False
     if isinstance(a, (ast.Node,)):
         for slot_holder in type(a).__mro__:
             for slot in getattr(slot_holder, "__slots__", ()):
-                if slot == "pos":
+                if slot in ("pos", "source"):
                     continue
                 if not ast_equal(getattr(a, slot), getattr(b, slot)):
                     return False

@@ -6,7 +6,9 @@ or another: a rehydrated split must be observably identical to a fresh
 compile (field values, message counts and trace, simulated time, ICS
 depths), a changed trust input must miss, and a damaged artifact must be
 verified away silently — recompile with a recorded miss, never an
-exception, never a wrong split.
+exception, never a wrong split.  The cache key and the Section 8 program
+hash both read ``Program.source``, so the string and checked-program
+entry points must agree on both.
 """
 
 import random
@@ -15,10 +17,15 @@ import pytest
 
 from repro import parallel, progen
 from repro.labels import ActsForHierarchy, Principal
-from repro.lang import cache as frontend_cache
+from repro.lang import check_program, parse_program, pretty_program
+from repro.lang.cache import digest as source_digest
 from repro.runtime.executor import run_split_program
 from repro.splitter import cache
-from repro.splitter.partition import split_source
+from repro.splitter.partition import (
+    _split_uncached,
+    split_program,
+    split_source,
+)
 from repro.splitter.serialize import (
     canonical_bytes,
     decode_split,
@@ -158,6 +165,56 @@ def test_mutating_a_hit_cannot_poison_later_hits():
     assert observe(split_source(OT_SOURCE, config).split) == baseline
 
 
+def test_pipeline_does_not_mutate_cached_ast():
+    # The split key reads Program.source, and a cache hit's lazily
+    # recomputed intermediates re-run the pipeline on the same checked
+    # program; neither splitting nor running may write into the AST.
+    config = config_abt()
+    program = parse_program(OT_SOURCE)
+    before = pretty_program(program)
+    result = split_program(check_program(program, config.hierarchy), config)
+    run_split_program(result.split)
+    assert program.source == OT_SOURCE
+    assert pretty_program(program) == before
+
+
+# ---------------------------------------------------------------------------
+# Section 8 digest: the program text, on every entry point
+# ---------------------------------------------------------------------------
+
+
+def _split_checked(source, config):
+    """Split through the staged path: parse, check, then split."""
+    checked = check_program(parse_program(source), config.hierarchy)
+    return split_program(checked, config)
+
+
+def test_checked_path_digest_equals_string_path_digest():
+    config = config_abt()
+    staged = _split_checked(OT_SOURCE, config)
+    assert not staged.cached
+    fresh = _split_uncached(OT_SOURCE, config)
+    assert staged.split.digest == fresh.split.digest
+
+
+def test_checked_path_digest_covers_program_text():
+    # OT with one and two rounds has the same classes but different
+    # program text; the hosts' program hash must tell them apart.
+    config = ot.config()
+    one = _split_checked(ot.source(rounds=1), config)
+    two = _split_checked(ot.source(rounds=2), config)
+    assert one.split.digest != two.split.digest
+
+
+def test_string_hit_after_checked_fill_has_string_path_digest():
+    config = config_abt()
+    _split_checked(OT_SOURCE, config)
+    served = split_source(OT_SOURCE, config)
+    assert served.cached
+    fresh = _split_uncached(OT_SOURCE, config)
+    assert served.split.digest == fresh.split.digest
+
+
 # ---------------------------------------------------------------------------
 # Invalidation: any changed trust input must miss
 # ---------------------------------------------------------------------------
@@ -173,7 +230,7 @@ def _config_with_own_hierarchy():
 
 def test_acts_for_edge_invalidates():
     config = _config_with_own_hierarchy()
-    digest = frontend_cache.digest(OT_SOURCE)
+    digest = source_digest(OT_SOURCE)
     assert not split_source(OT_SOURCE, config).cached
     before = cache.split_key(digest, config)
     config.hierarchy.add(Principal("Alice"), Principal("Bob"))
@@ -194,7 +251,7 @@ def test_host_trust_change_invalidates():
         hosts["B"],
         HostDescriptor.of("T", "{Alice:; Bob:}", "{?:Alice, Bob}"),
     ])
-    digest = frontend_cache.digest(OT_SOURCE)
+    digest = source_digest(OT_SOURCE)
     assert cache.split_key(digest, trusted) != cache.split_key(
         digest, stronger
     )
@@ -204,7 +261,7 @@ def test_host_trust_change_invalidates():
 
 def test_preference_pin_and_link_cost_invalidate():
     config = config_abt()
-    digest = frontend_cache.digest(OT_SOURCE)
+    digest = source_digest(OT_SOURCE)
     keys = [cache.split_key(digest, config)]
     config.set_preference("Bob", "B", 0.25)
     keys.append(cache.split_key(digest, config))
@@ -275,7 +332,7 @@ def test_artifact_under_wrong_config_key_is_rejected(tmp_path, monkeypatch):
     other.set_link_cost("A", "T", 2.5)
     monkeypatch.setenv(cache.ENV_DIR, str(tmp_path))
     split_source(OT_SOURCE, config)
-    digest = frontend_cache.digest(OT_SOURCE)
+    digest = source_digest(OT_SOURCE)
     right_path = cache.artifact_path(
         cache.split_key(digest, config), str(tmp_path)
     )
@@ -346,22 +403,6 @@ def _freeze(observation):
 def _freeze_result(result):
     worker_id, cached, observation = result
     return (worker_id, cached, _freeze(observation))
-
-
-def test_unknown_source_digest_stands_aside():
-    # A CheckedProgram whose AST never went through the frontend cache
-    # has no stable content address; the cache must skip it, not crash.
-    from repro.lang.parser import parse_program
-    from repro.lang.typecheck import check_program
-    from repro.splitter.partition import split_program
-
-    config = config_abt()
-    program = parse_program(OT_SOURCE)
-    frontend_cache.clear()  # forget the AST ↔ digest association
-    checked = check_program(program, config.hierarchy)
-    result = split_program(checked, config)
-    assert not result.cached
-    assert cache.stats()["split.memory"]["misses"] == 0
 
 
 def test_stale_tmp_litter_is_swept_once_per_process(tmp_path, monkeypatch):
