@@ -30,11 +30,8 @@ one structured line to stderr —
 :data:`repro.runtime.gateway.ERROR_CODES` — and exits non-zero, never
 a traceback.
 
-Repeated splits of the same (program, trust configuration) pair are
-served from the whole-pipeline split cache (``repro.splitter.cache``),
-the only pipeline cache; point ``REPRO_SPLIT_CACHE_DIR`` at a
-directory to persist split artifacts across runs (digest-verified on
-load).
+There is no split memo: every split runs the whole pipeline, including
+the split validator.
 
 The hosts file is JSON::
 
@@ -243,7 +240,6 @@ def cmd_faultsweep(args: argparse.Namespace) -> int:
 
     from .runtime.faultsweep import (
         crash_point_sweep,
-        split_for_sweep,
         storage_fault_sweep,
         sweep,
     )
@@ -281,7 +277,7 @@ def cmd_faultsweep(args: argparse.Namespace) -> int:
     exit_code = 0
     for name, source, config in targets:
         try:
-            split = split_for_sweep(source, config)
+            split = split_source(source, config).split
         except (JifError, SplitError) as error:
             print(f"REJECTED: {error}", file=sys.stderr)
             return 1
@@ -559,9 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="time the Table 1 workloads and a seeded progen sweep, "
              "staged as parse/typecheck/split/execute; reports label "
-             "and split cache hit rates — set "
-             "REPRO_SPLIT_CACHE_DIR to persist split artifacts across "
-             "runs",
+             "cache hit rates",
     )
     bench.add_argument("--quick", action="store_true",
                        help="short sweep for CI smoke runs")

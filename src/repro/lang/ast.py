@@ -470,8 +470,7 @@ class ClassDecl(Node):
 
 class Program(Node):
     """A whole program, carrying ``source``: the text it was parsed from
-    (its content address is the split-cache key and the Section 8
-    program hash)."""
+    (the program half of the Section 8 hash)."""
 
     __slots__ = ("classes", "source")
 

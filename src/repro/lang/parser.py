@@ -513,7 +513,8 @@ def parse_program(source: str) -> ast.Program:
     """Parse a complete mini-Jif program.
 
     The resulting :class:`~repro.lang.ast.Program` carries ``source``,
-    the text it was parsed from (the split cache's key).
+    the text it was parsed from (the program half of the Section 8
+    hash).
     """
     return Parser(source).parse_program()
 

@@ -20,7 +20,7 @@ Two entry points share that mechanism:
     sweep, the bench progen sweep — pays the fork cost once per phase
     set instead of once per call.  Forking late and on purpose also
     means every process-wide cache populated before the pool starts
-    (label-lattice memos, the split cache, memoized
+    (label-lattice memos, memoized
     :class:`~repro.runtime.session.RuntimeImage` artifacts hanging off
     a split) is inherited warm by every worker.
 

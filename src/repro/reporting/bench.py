@@ -36,8 +36,6 @@ from ..runtime import DistributedExecutor
 from ..runtime.storage import reset_stats as reset_durability_stats
 from ..runtime.storage import stats as durability_stats
 from ..splitter import split_program
-from ..splitter.cache import reset_stats as reset_split_stats
-from ..splitter.cache import stats as split_stats
 from ..workloads import listcompare, ot, tax, work
 
 #: Stage keys, in pipeline order.
@@ -99,13 +97,9 @@ def run_bench(
     # Untimed warmup: pay one-time costs (imports, regex compilation,
     # intern-table population) before the clock starts, so a --quick
     # run is comparable against a scaled full-length baseline.  The
-    # warmup also seeds the whole-pipeline split cache with progen seed
-    # 0; counter resets below keep the warmup out of the reported rates
-    # but deliberately leave the cached split in place (that reuse is
-    # exactly what the cache is for).
+    # counter resets below keep the warmup out of the reported rates.
     time_workload(progen.generate_program(0), progen.config())
     reset_label_stats()
-    reset_split_stats()
     reset_durability_stats()
     report: Dict[str, object] = {
         "python": sys.version.split()[0],
@@ -155,9 +149,7 @@ def run_bench(
         w["seconds"]["total"] for w in workloads.values()
     )
     report["end_to_end_seconds"] = end_to_end
-    # Label-lattice and split cache counters in one section (split
-    # tiers are prefixed ``split.``).
-    report["cache"] = {**label_stats(), **split_stats()}
+    report["cache"] = label_stats()
     report["durability"] = durability_stats()
     # Run invariants: observable behaviour no optimization may change.
     # Only seed-count-independent facts belong here, so a --quick run
@@ -398,18 +390,6 @@ def main(
             f"(x{aggregate['speedup_vs_naive']:.2f} vs per-run "
             "reconstruction)"
         )
-    split_tiers = {
-        name: entry
-        for name, entry in report.get("cache", {}).items()
-        if name.startswith("split.")
-    }
-    if split_tiers:
-        summary = ", ".join(
-            f"{name.split('.', 1)[1]} {entry['hits']}/{entry['hits'] + entry['misses']}"
-            for name, entry in sorted(split_tiers.items())
-        )
-        print(f"bench: split cache hits {summary} "
-              f"(REPRO_SPLIT_CACHE_DIR enables the disk tier)")
     durability = report.get("durability")
     if durability:
         print(

@@ -7,12 +7,11 @@ Table 1 workload (request-sized variants — the fault sweep sets the
 precedent of shrinking loop bounds so a "request" is milliseconds, not
 seconds) plus a seeded progen mix it measures:
 
-* **naive** — today's per-request path before artifact sharing: every
-  request re-enters the pipeline (``split_source`` → a freshly
-  rehydrated ``SplitProgram`` from the content-addressed split cache →
-  a cold :class:`RuntimeImage` → one run).  All per-program work
-  (fragment compilation, key derivation, ACL precomputation, host
-  construction) is paid per request.
+* **naive** — the per-request path with no sharing: every request runs
+  the full pipeline (``split_source``: parse, typecheck, split,
+  validate → a cold :class:`RuntimeImage` → one run).  All per-program
+  work (splitting, fragment compilation, key derivation, ACL
+  precomputation, host construction) is paid per request.
 * **pooled** — the session engine: one shared
   :class:`~repro.runtime.session.RuntimeImage`, a recycled
   :class:`~repro.runtime.session.SessionPool`, and a
@@ -196,9 +195,9 @@ def _drive_pooled(
 def _drive_naive(
     source: str, config, runs: int, oracle: Dict[str, Any], label: str
 ) -> float:
-    """The per-run-reconstruction baseline: each request re-enters the
-    pipeline and builds a fresh image over the freshly rehydrated
-    split.  Returns the wall-clock for ``runs`` requests."""
+    """The per-run-reconstruction baseline: each request runs the full
+    pipeline and builds a fresh image over the new split.  Returns the
+    wall-clock for ``runs`` requests."""
     check = _checked_observer(oracle, f"{label} (naive)")
     start = time.perf_counter()
     for _ in range(runs):
@@ -244,8 +243,8 @@ def _measure_workload(
 
 # -- --jobs fan-out ----------------------------------------------------------
 #
-# Workers inherit the warm RuntimeImages (and the split cache, compiled
-# closures, derived keys) through the fork's memory copy: the parent
+# Workers inherit the warm RuntimeImages (and their compiled closures
+# and derived keys) through the fork's memory copy: the parent
 # builds every image before fanning out, each worker drives its shard of
 # sessions over the inherited image, and only plain floats cross the
 # pickle boundary.

@@ -29,24 +29,6 @@ from .faults import CrashPointInjector, FaultInjector, FaultPolicy
 from .network import DeliveryTimeoutError
 
 
-def split_for_sweep(source: str, config) -> SplitProgram:
-    """Partition ``source`` for a sweep, through the whole-pipeline
-    split cache.
-
-    Sweep drivers re-split the same (source, config) pair across CLI
-    invocations and parallel sweeps; routing them through
-    :func:`repro.splitter.partition.split_source` means a warm
-    ``REPRO_SPLIT_CACHE_DIR`` serves the split from the artifact tier
-    instead of re-running the splitter.  The rehydrated split is
-    observably identical to a fresh compile (pinned by
-    ``tests/splitter/test_split_cache.py``), so sweep verdicts cannot
-    depend on how the split was obtained.
-    """
-    from ..splitter.partition import split_source
-
-    return split_source(source, config).split
-
-
 def random_policy(rng: random.Random) -> FaultPolicy:
     """Draw one fault schedule's knobs; spans mild to fairly hostile."""
     policy = FaultPolicy(
@@ -224,9 +206,9 @@ def sweep(
     With ``jobs > 1`` the schedules run in a shared-nothing pool of
     forked workers; every schedule is seeded independently, so the
     report is identical to a serial run regardless of ``jobs``.  The
-    split program (and with it every split-cache and label-cache entry
-    its construction populated) is built in the parent before the
-    pool forks, so workers inherit warm caches by memory copy.
+    split program (and with it every label-cache entry its
+    construction populated) is built in the parent before the pool
+    forks, so workers inherit the split and warm caches by memory copy.
     """
     reference = reference_fields(split, opt_level=opt_level)
     report = SweepReport(reference)

@@ -2,11 +2,9 @@
 
 The paper's deployment model is *compile once, run many times*: a
 partitioned program is published and then executed over and over by
-mutually distrusting principals.  PR5/PR6 content-addressed the whole
-compile pipeline, so by the time a request arrives the split artifact
-is a cache hit — execution was the last stage still paying full setup
-cost per run.  This module splits the runtime's state along the same
-immutable/mutable line the compile caches use:
+mutually distrusting principals.  A program is split once, when it is
+published, so the per-request cost is execution set-up.  This module
+splits the runtime's state along an immutable/mutable line:
 
 * :class:`RuntimeImage` — everything about a (split, key registry)
   pair that no run ever mutates, built once and shared by every

@@ -11,8 +11,8 @@ codec maps that tree to JSON deterministically and back:
   tuples, lists, dicts (as ordered key/value pair lists, since runtime
   dict keys are tuples and FrameIDs, not strings), the ``REJECTED``
   sentinel, tokens, frame ids, object/array references, return-info
-  records, and labels (reusing the splitter's canonical interned label
-  codec so decoded labels land in the hash-consing table).
+  records, and labels (rebuilt through the interning constructors so
+  decoded labels land in the hash-consing table).
 
 Reference types are rebuilt with ``object.__new__`` so decoding never
 draws from the global id counters; a :class:`DecodeContext` tracks the
@@ -32,12 +32,7 @@ import itertools
 import json
 from typing import Any, Optional
 
-from ...labels import Label
-from ...splitter.serialize import (
-    SplitDecodeError,
-    _dec_label,
-    _enc_label,
-)
+from ...labels import ConfLabel, ConfPolicy, IntegLabel, Label, Principal
 from ..tokens import Token
 from ..values import REJECTED, ArrayRef, FrameID, ObjectRef, ReturnInfo
 from .. import values as _values
@@ -45,6 +40,54 @@ from .. import values as _values
 
 class StorageCodecError(ValueError):
     """Persisted state that does not decode: malformed or tampered."""
+
+
+# Labels: canonical plain-data forms, decoded through the interning
+# constructors so decoded labels land in the hash-consing table.
+
+
+def _enc_conf(conf: ConfLabel):
+    if conf.is_top:
+        return "T"
+    return sorted(
+        [policy.owner.name, sorted(r.name for r in policy.readers)]
+        for policy in conf.policies
+    )
+
+
+def _dec_conf(data) -> ConfLabel:
+    if data == "T":
+        return ConfLabel.top()
+    if not isinstance(data, list):
+        raise StorageCodecError(f"bad conf label {data!r}")
+    return ConfLabel(
+        ConfPolicy(Principal(owner), [Principal(r) for r in readers])
+        for owner, readers in data
+    )
+
+
+def _enc_integ(integ: IntegLabel):
+    if integ.is_bottom:
+        return "B"
+    return sorted(p.name for p in integ.trust)
+
+
+def _dec_integ(data) -> IntegLabel:
+    if data == "B":
+        return IntegLabel.bottom()
+    if not isinstance(data, list):
+        raise StorageCodecError(f"bad integ label {data!r}")
+    return IntegLabel(Principal(name) for name in data)
+
+
+def _enc_label(label: Label):
+    return [_enc_conf(label.conf), _enc_integ(label.integ)]
+
+
+def _dec_label(data) -> Label:
+    if not isinstance(data, list) or len(data) != 2:
+        raise StorageCodecError(f"bad label {data!r}")
+    return Label(_dec_conf(data[0]), _dec_integ(data[1]))
 
 
 class DecodeContext:
@@ -182,7 +225,7 @@ def _dec(data: Any, ctx: DecodeContext) -> Any:
             return _dec_label(data["v"])
     except StorageCodecError:
         raise
-    except (KeyError, TypeError, ValueError, SplitDecodeError) as error:
+    except (KeyError, TypeError, ValueError) as error:
         raise StorageCodecError(f"malformed {tag!r} node: {error}") from error
     raise StorageCodecError(f"unknown value tag {tag!r}")
 

@@ -4,108 +4,62 @@ This is the top of the Section 6 pipeline::
 
     check → lower → candidates (Section 4) → host assignment (Section 6)
           → fragment translation (Section 5.5) → data forwarding (5.2)
-          → ACL generation (5.1) → SplitProgram
+          → ACL generation (5.1) → validation → SplitProgram
 
 The resulting :class:`SplitProgram` is what the distributed runtime
 executes; it embeds a one-way hash of the splitter inputs (Section 8) so
 subprograms produced under different assumptions refuse to interoperate.
+The program half of that hash is ``Program.source``, the text the parser
+was given, so a string and an already-checked program hash alike.
 
-**Whole-pipeline cache.**  The splitter is a pure function of
-(source, trust configuration), so results are memoized end to end in
-:mod:`.cache`: a repeated ``split_source`` call rehydrates a
-fresh, observably identical :class:`SplitProgram` from the encoded
-artifact instead of re-running the pipeline.  Cache hits return a
-:class:`SplitResult` whose intermediate artifacts (checked program, IR,
-candidates, assignment) are rebuilt lazily on first access — the
-runtime only ever needs the split itself, so sweeps never pay for
-intermediates they do not inspect.  ``_split_uncached`` is the full
-pipeline with no cache on either side; the tests use it as the
-reference the cache is held to.
+There is no memo: every :func:`split_program` call runs the whole
+pipeline and :func:`~repro.splitter.validate.validate_split`, so no split
+reaches a host unvalidated.  Callers that re-run one program share the
+:class:`SplitProgram` (or the ``RuntimeImage`` built from it) instead.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Union
 
-from ..lang.cache import digest
 from ..lang.typecheck import CheckedProgram, check_source
 from ..trust import TrustConfiguration
-from . import cache as split_cache
 from . import ir
 from .forwarding import insert_forwards
 from .fragments import FieldPlacement, MethodPlan, SplitProgram
 from .lower import lower_program
 from .optimizer import Assignment, assign_hosts
 from .selection import CandidateSets, SplitError, compute_candidates
-from .serialize import SplitEncodeError, encode_split
 from .transfers import translate
+from .validate import validate_split
 
 
 class SplitResult:
     """The split program plus the intermediate artifacts, for inspection
-    and reporting (e.g. regenerating the Figure 4 control-flow graph).
+    and reporting (e.g. regenerating the Figure 4 control-flow graph)."""
 
-    When the split was served from the whole-pipeline cache
-    (``cached`` is True) the intermediates are not materialized up
-    front; the first access to ``checked`` / ``program`` /
-    ``candidates`` / ``assignment`` re-runs the uncached pipeline —
-    which, by splitter determinism, reproduces exactly the artifacts
-    the cached split was built from."""
+    __slots__ = ("split", "checked", "program", "candidates", "assignment")
 
     def __init__(
         self,
         split: SplitProgram,
-        checked: Optional[CheckedProgram] = None,
-        program: Optional[ir.IRProgram] = None,
-        candidates: Optional[CandidateSets] = None,
-        assignment: Optional[Assignment] = None,
-        recompute: Optional[Callable[[], "SplitResult"]] = None,
+        checked: CheckedProgram,
+        program: ir.IRProgram,
+        candidates: CandidateSets,
+        assignment: Assignment,
     ) -> None:
         self.split = split
-        #: True when the split came from the cache rather than a fresh
-        #: pipeline run (diagnostics and tests; observables identical).
-        self.cached = recompute is not None
-        self._checked = checked
-        self._program = program
-        self._candidates = candidates
-        self._assignment = assignment
-        self._recompute = recompute
-
-    def _materialize(self) -> None:
-        if self._recompute is not None:
-            fresh = self._recompute()
-            self._checked = fresh._checked
-            self._program = fresh._program
-            self._candidates = fresh._candidates
-            self._assignment = fresh._assignment
-            self._recompute = None
-
-    @property
-    def checked(self) -> CheckedProgram:
-        self._materialize()
-        return self._checked
-
-    @property
-    def program(self) -> ir.IRProgram:
-        self._materialize()
-        return self._program
-
-    @property
-    def candidates(self) -> CandidateSets:
-        self._materialize()
-        return self._candidates
-
-    @property
-    def assignment(self) -> Assignment:
-        self._materialize()
-        return self._assignment
+        self.checked = checked
+        self.program = program
+        self.candidates = candidates
+        self.assignment = assignment
 
 
-def _split_uncached(
+def split_program(
     source: Union[str, CheckedProgram],
     config: TrustConfiguration,
 ) -> SplitResult:
-    """One full pipeline run, no cache consulted on either side."""
+    """Partition a mini-Jif program for the given trust configuration."""
     if isinstance(source, str):
         checked = check_source(source, config.hierarchy)
     else:
@@ -156,42 +110,9 @@ def _split_uncached(
     split.main_entry = entries[program.main_key]
     # Defense in depth: abstractly interpret the fragment graph to prove
     # the sync/lgoto pairs keep the ICS a stack and every transfer obeys
-    # Section 5.5 (see splitter/validate.py).  Cached rehydrations skip
-    # this: only validated splits are ever encoded, and the artifact
-    # tier digest-verifies them on the way back in.
-    from .validate import validate_split
-
+    # Section 5.5 (see splitter/validate.py).
     validate_split(split)
     return SplitResult(split, checked, program, candidates, assignment)
-
-
-def _source_digest(source: Union[str, CheckedProgram]) -> str:
-    """The content address of the program text."""
-    return digest(source if isinstance(source, str) else source.program.source)
-
-
-def split_program(
-    source: Union[str, CheckedProgram],
-    config: TrustConfiguration,
-) -> SplitResult:
-    """Partition a mini-Jif program for the given trust configuration.
-
-    Served from the whole-pipeline cache when the same (source, trust
-    configuration) pair has been split before.
-    """
-    key = split_cache.split_key(_source_digest(source), config)
-    split = split_cache.lookup(key, config)
-    if split is not None:
-        return SplitResult(
-            split,
-            recompute=lambda: _split_uncached(source, config),
-        )
-    result = _split_uncached(source, config)
-    try:
-        split_cache.store(key, encode_split(result.split))
-    except SplitEncodeError:
-        pass
-    return result
 
 
 def split_source(source: str, config: TrustConfiguration) -> SplitResult:

@@ -6,6 +6,9 @@ placement preferences (Section 6: "principals may indicate a preference
 for their data to stay on one of several equally trusted machines"), and
 a one-way hash over all splitter inputs (Section 8) that partitioned
 programs embed in their messages to detect mismatched partitionings.
+The program half of that hash is the source text the parser was given
+(``Program.source``); nothing caches splits, so the configuration needs
+no other content key.
 """
 
 from __future__ import annotations
@@ -53,12 +56,6 @@ class TrustConfiguration:
         #: key is cheap; cleared whenever the host set changes and
         #: implicitly invalidated by the hierarchy version stamp.
         self._eligible_cache: Dict[tuple, Tuple[HostDescriptor, ...]] = {}
-        #: mutation counter: bumped by every change to hosts, preferences,
-        #: pins, or link costs, so content fingerprints can be memoized.
-        self._version = 0
-        #: memoized (version, hierarchy state) -> content fingerprint.
-        self._fingerprint_key: Optional[tuple] = None
-        self._fingerprint: str = ""
         for host in hosts:
             self.add_host(host)
 
@@ -69,7 +66,6 @@ class TrustConfiguration:
             raise TrustError(f"duplicate host {host.name!r}")
         self._hosts[host.name] = host
         self._eligible_cache.clear()
-        self._version += 1
 
     def host(self, name: str) -> HostDescriptor:
         if name not in self._hosts:
@@ -101,7 +97,6 @@ class TrustConfiguration:
             raise ValueError("preference weight must be positive")
         name = principal.name if isinstance(principal, Principal) else principal
         self._preferences[(name, host_name)] = weight
-        self._version += 1
 
     def preference(self, principal, host_name: str) -> float:
         name = principal.name if isinstance(principal, Principal) else principal
@@ -116,7 +111,6 @@ class TrustConfiguration:
         if host_name not in self._hosts:
             raise TrustError(f"unknown host {host_name!r}")
         self._field_pins[(cls, field)] = host_name
-        self._version += 1
 
     def field_pin(self, cls: str, field: str) -> Optional[str]:
         return self._field_pins.get((cls, field))
@@ -127,7 +121,6 @@ class TrustConfiguration:
             raise ValueError("link cost must be non-negative")
         self._link_costs[(a, b)] = cost
         self._link_costs[(b, a)] = cost
-        self._version += 1
 
     def link_cost(self, a: str, b: str) -> float:
         if a == b:
@@ -157,39 +150,6 @@ class TrustConfiguration:
             )
             self._eligible_cache[key] = hosts
         return hosts
-
-    def fingerprint(self) -> str:
-        """Content digest of every splitter-relevant input: hosts with
-        their trust labels, preferences, field pins, link costs, and
-        all acts-for edges.
-
-        Unlike :meth:`digest` (the Section 8 run-time interop hash,
-        whose wire format is pinned by deployed messages), this covers
-        *link costs* too, because they steer placement; it is the trust
-        half of the whole-pipeline split-cache key
-        (:mod:`repro.splitter.cache`).  Memoized per (mutation version,
-        hierarchy state), so steady-state sweeps pay one dict probe.
-        """
-        key = (self._version, self.hierarchy.cache_key)
-        if self._fingerprint_key == key:
-            return self._fingerprint
-        hasher = hashlib.sha256()
-        for name in sorted(self._hosts):
-            host = self._hosts[name]
-            hasher.update(name.encode())
-            hasher.update(str(host.conf).encode())
-            hasher.update(str(host.integ).encode())
-        for pref in sorted(self._preferences):
-            hasher.update(repr((pref, self._preferences[pref])).encode())
-        for pin in sorted(self._field_pins):
-            hasher.update(repr((pin, self._field_pins[pin])).encode())
-        for link in sorted(self._link_costs):
-            hasher.update(repr((link, self._link_costs[link])).encode())
-        for actor, target in self.hierarchy:
-            hasher.update(f"actsfor|{actor}|{target}".encode())
-        self._fingerprint = hasher.hexdigest()
-        self._fingerprint_key = key
-        return self._fingerprint
 
     # -- Section 8: hash of splitter inputs ---------------------------------------
 

@@ -1,8 +1,8 @@
 """Common machinery for the Section 7.1 benchmark workloads.
 
-Workload sources are plain strings rebuilt by each ``source()`` call;
-repeated splits of byte-identical source are served by the split cache
-(``repro.splitter.cache``).
+Workload sources are plain strings rebuilt by each ``source()`` call,
+and every split runs the whole pipeline; callers that run one workload
+many times split it once and reuse the split.
 """
 
 from __future__ import annotations

@@ -18,9 +18,7 @@ from repro.progen import generate_program
 from repro.reporting.bench import run_bench
 from repro.runtime.executor import run_split_program
 from repro.runtime.faultsweep import crash_point_sweep, sweep
-from repro.splitter import cache as split_cache
 from repro.splitter import ir, split_source
-from repro.splitter.partition import _split_uncached
 
 from tests.programs import OT_SOURCE, config_abt
 from tests.splitter.heuristic import heuristic_split
@@ -60,35 +58,6 @@ def test_assignment_identical_across_repeated_runs(split):
             _placement(split(source, config_factory())) for _ in range(3)
         ]
         assert snapshots[0] == snapshots[1] == snapshots[2]
-
-
-def test_cached_and_uncached_splits_observably_identical(
-    tmp_path, monkeypatch
-):
-    """The split cache is a pure accelerator: a split served from the
-    durable artifact tier must behave bit-identically to one produced
-    by the uncached pipeline."""
-
-    def run(split):
-        outcome = run_split_program(split)
-        return (
-            {key: outcome.field_value(*key) for key in sorted(split.fields)},
-            dict(outcome.counts),
-            outcome.elapsed,
-            [(m.kind, m.src, m.dst) for m in outcome.network.message_log],
-        )
-
-    uncached = run(_split_uncached(OT_SOURCE, config_abt()).split)
-
-    monkeypatch.setenv(split_cache.ENV_DIR, str(tmp_path))
-    split_cache.clear()
-    split_source(OT_SOURCE, config_abt())  # populate both tiers
-    split_cache.clear()  # forget memory so the artifact tier serves
-    warm = split_source(OT_SOURCE, config_abt())
-    assert warm.cached
-    assert split_cache.stats()["split.disk"]["hits"] == 1
-    assert run(warm.split) == uncached
-    split_cache.clear()
 
 
 @fork_only
