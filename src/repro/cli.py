@@ -14,12 +14,13 @@ Usage (also via ``python -m repro``)::
     python -m repro rehydrate --smoke
     python -m repro rehydrate program.jif --hosts hosts.json
                               --storage-dir DIR
-    python -m repro bench [--quick] [--jobs N] [--compare BASELINE]
-                          [--throughput [--sessions N]]
     python -m repro serve [--host H] [--port P] [--rate R] [--burst B]
     python -m repro serve --smoke
     python -m repro table1
     python -m repro fig4
+
+Wall-clock benchmarks run from the repository root with
+``python3 perfbench/run.py`` (see ``perfbench/NOTES.md``).
 
 Failures follow one error contract, shared with the serve gateway: a
 program rejected by the frontend or splitter prints ``REJECTED: ...``
@@ -298,7 +299,6 @@ def cmd_faultsweep(args: argparse.Namespace) -> int:
                 per_point=args.per_point,
                 crash_mode=args.crash_mode,
                 name=name,
-                jobs=args.jobs,
             )
             print(f"crash-point sweep over {name} "
                   f"(mode {args.crash_mode}):")
@@ -309,43 +309,12 @@ def cmd_faultsweep(args: argparse.Namespace) -> int:
                 base_seed=args.seed,
                 opt_level=args.opt_level,
                 name=name,
-                jobs=args.jobs,
             )
             print(f"fault sweep over {name} (base seed {args.seed}):")
         print(report.summary())
         if report.failures:
             exit_code = 1
     return exit_code
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .reporting import bench
-
-    if args.quick:
-        seeds = bench.QUICK_SEEDS
-    elif args.seeds is not None:
-        seeds = args.seeds
-    else:
-        seeds = bench.DEFAULT_SEEDS
-    throughput_sessions = None
-    if args.throughput:
-        from .reporting import throughput
-
-        if args.sessions is not None:
-            throughput_sessions = args.sessions
-        elif args.quick:
-            throughput_sessions = throughput.QUICK_SESSIONS
-        else:
-            throughput_sessions = throughput.DEFAULT_SESSIONS
-    return bench.main(
-        seeds=seeds,
-        out=args.out,
-        baseline=args.compare,
-        tolerance=args.tolerance,
-        jobs=args.jobs,
-        throughput_sessions=throughput_sessions,
-        profile=args.profile,
-    )
 
 
 def cmd_rehydrate(args: argparse.Namespace) -> int:
@@ -533,11 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="receipt indices sampled per (host, kind) crash point",
     )
     faultsweep.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the sweep (schedules and crash "
-             "points are independent; results are identical to --jobs 1)",
-    )
-    faultsweep.add_argument(
         "--storage", choices=("memory", "sqlite"), default="memory",
         help="with 'sqlite', run every schedule over an auto-created "
              "durable tier so protocol faults also exercise the "
@@ -550,41 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
              "verifies graceful degradation and fail-closed rehydration",
     )
     faultsweep.set_defaults(func=cmd_faultsweep)
-
-    bench = sub.add_parser(
-        "bench",
-        help="time the Table 1 workloads and a seeded progen sweep, "
-             "staged as parse/typecheck/split/execute; reports label "
-             "cache hit rates",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="short sweep for CI smoke runs")
-    bench.add_argument("--seeds", type=int, default=None,
-                       help="progen sweep size (default 200)")
-    bench.add_argument("--out", help="write the JSON report to this path")
-    bench.add_argument("--compare",
-                       help="baseline JSON (e.g. BENCH_PR9.json) to gate "
-                            "wall-clock regressions against")
-    bench.add_argument("--tolerance", type=float, default=0.25,
-                       help="allowed slowdown fraction vs the baseline")
-    bench.add_argument("--throughput", action="store_true",
-                       help="also run the many-session throughput suite "
-                            "(pooled sessions over shared runtime images "
-                            "vs per-run reconstruction, with p50/p99 "
-                            "latency and scaling sweeps)")
-    bench.add_argument("--sessions", type=int, default=None,
-                       help="sessions per workload for --throughput "
-                            "(default 2000; --quick uses 200)")
-    bench.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the progen sweep "
-                            "(wall-clock lever only; baselines are "
-                            "recorded with --jobs 1)")
-    bench.add_argument("--profile", action="store_true",
-                       help="run a separate profiled pass attributing "
-                            "per-message time to dispatch / token / "
-                            "label / trace / store (embedded under "
-                            "'profile' in the JSON report)")
-    bench.set_defaults(func=cmd_bench)
 
     rehydrate = sub.add_parser(
         "rehydrate",

@@ -23,7 +23,7 @@ caching"):
   them is safe because they are immutable.
 
 Counters are cheap (two int increments per call) and feed the
-``python -m repro bench`` cache-hit-rate report.
+benchmark's ``labels.cache_hit_share`` metric (``perfbench/``).
 """
 
 from __future__ import annotations
@@ -73,13 +73,6 @@ def stats() -> Dict[str, Dict[str, float]]:
             "hit_rate": round(cache.hits / total, 4) if total else 0.0,
         }
     return report
-
-
-def reset_stats() -> None:
-    """Zero the counters without discarding cached results."""
-    for cache in _REGISTRY.values():
-        cache.hits = 0
-        cache.misses = 0
 
 
 def clear_all() -> None:

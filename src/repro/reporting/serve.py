@@ -2,11 +2,9 @@
 
 The gateway records one sample per execution request — workload name,
 wall-clock latency, and the structured error code (or ``None`` for
-success).  ``snapshot`` folds the samples into the same
-nearest-rank-percentile summary shape the throughput bench uses, so
-serve-mode latency reads like the rest of the reporting layer:
-``p50``/``p99``/``p999``/``mean`` per workload plus global counters by
-outcome code.
+success).  ``snapshot`` folds the samples into a nearest-rank
+percentile summary — ``p50``/``p99``/``p999``/``mean`` per workload —
+plus global counters by outcome code.
 
 Thread-safety: the gateway handles requests on worker threads (the
 blocking ``Session.run`` runs off the event loop), so ``record`` takes
@@ -19,7 +17,13 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Optional
 
-from .throughput import percentile
+
+def percentile(sorted_values: List[float], q: float) -> float:
+    """Nearest-rank percentile of an ascending-sorted list (q in 0..1)."""
+    if not sorted_values:
+        return 0.0
+    rank = max(0, min(len(sorted_values) - 1, int(q * len(sorted_values))))
+    return sorted_values[rank]
 
 
 class ServeStats:

@@ -22,7 +22,6 @@ import random
 from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .. import parallel
 from ..splitter.fragments import SplitProgram
 from .executor import ExecutionResult, run_split_program
 from .faults import CrashPointInjector, FaultInjector, FaultPolicy
@@ -182,16 +181,6 @@ def _run_schedule(
     return ScheduleOutcome(seed, policy, "ok", fault_counts=counts), None
 
 
-def _schedule_task(seed: int) -> Tuple[ScheduleOutcome, Optional[str]]:
-    """Worker-side wrapper: the split program does not pickle (compiled
-    fragment closures), so it arrives via the fork-inherited state."""
-    state = parallel.state()
-    return _run_schedule(
-        state["split"], state["reference"], seed,
-        state["opt_level"], state["policy_factory"],
-    )
-
-
 def sweep(
     split: SplitProgram,
     schedules: int = 50,
@@ -199,36 +188,15 @@ def sweep(
     opt_level: int = 1,
     policy_factory: Callable[[random.Random], FaultPolicy] = random_policy,
     name: str = "",
-    jobs: int = 1,
 ) -> SweepReport:
-    """Run ``schedules`` seeded fault schedules against ``split``.
-
-    With ``jobs > 1`` the schedules run in a shared-nothing pool of
-    forked workers; every schedule is seeded independently, so the
-    report is identical to a serial run regardless of ``jobs``.  The
-    split program (and with it every label-cache entry its
-    construction populated) is built in the parent before the pool
-    forks, so workers inherit the split and warm caches by memory copy.
-    """
+    """Run ``schedules`` seeded fault schedules against ``split``."""
     reference = reference_fields(split, opt_level=opt_level)
     report = SweepReport(reference)
     tag = f"{name} " if name else ""
-    seeds = [base_seed + index for index in range(schedules)]
-    results = parallel.fork_map(
-        _schedule_task, seeds, jobs,
-        shared={
-            "split": split,
-            "reference": reference,
-            "opt_level": opt_level,
-            "policy_factory": policy_factory,
-        },
-    )
-    if results is None:
-        results = [
-            _run_schedule(split, reference, seed, opt_level, policy_factory)
-            for seed in seeds
-        ]
-    for outcome, failure in results:
+    for index in range(schedules):
+        outcome, failure = _run_schedule(
+            split, reference, base_seed + index, opt_level, policy_factory
+        )
         report.schedules.append(outcome)
         if failure is not None:
             report.failures.append(tag + failure)
@@ -368,18 +336,6 @@ def _run_crash_point(
     return CrashPointOutcome(dst, kind, occurrence, "ok"), None
 
 
-def _crash_point_task(
-    point: Tuple[str, str, int]
-) -> Tuple[CrashPointOutcome, Optional[str]]:
-    """Worker-side wrapper; heavyweight inputs come via the fork state."""
-    state = parallel.state()
-    return _run_crash_point(
-        state["split"], point, state["opt_level"], state["crash_mode"],
-        state["crash_downtime"], state["token_seed"], state["ref_fields"],
-        state["ref_depths"], state["baseline_problems"],
-    )
-
-
 def crash_point_sweep(
     split: SplitProgram,
     opt_level: int = 1,
@@ -388,7 +344,6 @@ def crash_point_sweep(
     crash_downtime: float = 2e-3,
     name: str = "",
     token_seed: int = 0x5EED,
-    jobs: int = 1,
 ) -> CrashSweepReport:
     """Crash each host at each message-kind receipt boundary, recover,
     and check the run still ends bit-identical to fault-free.
@@ -399,11 +354,6 @@ def crash_point_sweep(
     Because :class:`~repro.runtime.faults.CrashPointInjector` injects no
     other fault, the pre-crash prefix of each run matches the reference
     exactly, so every enumerated point is guaranteed to fire.
-
-    With ``jobs > 1`` the crash points run in a shared-nothing pool of
-    forked workers; each point is fully determined by its
-    ``(host, kind, occurrence)`` triple, so the report is identical to
-    a serial run regardless of ``jobs``.
     """
     tag = f"{name} " if name else ""
     reference = run_split_program(
@@ -430,28 +380,11 @@ def crash_point_sweep(
         for occurrence in _pick_occurrences(total, per_point)
     ]
     report = CrashSweepReport(ref_fields)
-    results = parallel.fork_map(
-        _crash_point_task, points, jobs,
-        shared={
-            "split": split,
-            "opt_level": opt_level,
-            "crash_mode": crash_mode,
-            "crash_downtime": crash_downtime,
-            "token_seed": token_seed,
-            "ref_fields": ref_fields,
-            "ref_depths": ref_depths,
-            "baseline_problems": baseline_problems,
-        },
-    )
-    if results is None:
-        results = [
-            _run_crash_point(
-                split, point, opt_level, crash_mode, crash_downtime,
-                token_seed, ref_fields, ref_depths, baseline_problems,
-            )
-            for point in points
-        ]
-    for outcome, failure in results:
+    for point in points:
+        outcome, failure = _run_crash_point(
+            split, point, opt_level, crash_mode, crash_downtime,
+            token_seed, ref_fields, ref_depths, baseline_problems,
+        )
         report.points.append(outcome)
         if failure is not None:
             report.failures.append(tag + failure)

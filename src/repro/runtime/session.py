@@ -32,8 +32,7 @@ splits the runtime's state along an immutable/mutable line:
 
 * :class:`MultiSessionDriver` — interleaves many concurrent sessions
   over one shared image, one control message at a time, measuring
-  per-session wall-clock latency.  This is the engine under
-  ``python -m repro bench --throughput``.
+  per-session wall-clock latency.
 
 ``DistributedExecutor`` remains the public single-run API; it is now a
 thin :class:`Session` subclass that builds (or reuses) the image for
@@ -541,8 +540,8 @@ class Session:
 
     def observables(self) -> Dict[str, Any]:
         """The invariant surface one run exposes: message counts,
-        simulated time, and per-host ICS depths — the facts the
-        throughput harness pins bit-identical to the single-run oracle."""
+        simulated time, and per-host ICS depths — the facts a pooled
+        session must reproduce bit-identically from the solo oracle."""
         return {
             "messages": self.network.table_counts(),
             "simulated_seconds": round(self.network.clock, 6),

@@ -47,14 +47,9 @@ __all__ = [
     "open_for_rehydration",
     "rehydrate_session",
     "stats",
-    "reset_stats",
 ]
 
 
 def stats() -> dict:
     """Snapshot of the process-wide durability counters."""
     return STATS.as_dict()
-
-
-def reset_stats() -> None:
-    STATS.reset()

@@ -83,10 +83,11 @@ class StorageRetryPolicy:
 
 
 class DurabilityStats:
-    """Structured counters for the durable tier (``repro bench`` block).
+    """Structured counters for the durable tier.
 
     One process-wide instance (:data:`STATS`) accumulates across every
-    session; ``repro bench`` resets it per run and reports the deltas.
+    session and is never reset; readers snapshot it with ``stats()``
+    and compare snapshots taken before and after the work they measure.
     """
 
     __slots__ = (
@@ -101,9 +102,6 @@ class DurabilityStats:
     )
 
     def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
         #: WAL records written through to a backend.
         self.appends = 0
         #: durable publishes (transaction commits + sidecar fsyncs).

@@ -1,5 +1,5 @@
 """Compatibility shim: the seeded random program generator moved into
-the package (``repro.progen``) so the ``python -m repro bench`` CLI can
+the package (``repro.progen``) so the benchmark (``perfbench/``) can
 drive the same corpus the property tests use.  Test-suite imports of
 ``tests.progen`` keep working through this re-export."""
 

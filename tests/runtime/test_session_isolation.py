@@ -12,6 +12,11 @@ import random
 
 import pytest
 
+from repro.reporting.throughput import (
+    aggregation_config,
+    aggregation_source,
+    request_workloads,
+)
 from repro.runtime import (
     DeliveryTimeoutError,
     FaultInjector,
@@ -23,7 +28,8 @@ from repro.runtime import (
     SessionPool,
 )
 from repro.splitter import split_source
-from repro.workloads import ot, tax, work
+from repro.trust import HostDescriptor
+from repro.workloads import ot, tax
 
 
 def fingerprint(session):
@@ -86,14 +92,75 @@ def test_clean_session_is_bit_identical_under_faulted_neighbours():
         assert session.network.fault_counts, "fault injector never fired"
 
 
-def test_driver_interleaving_matches_solo_oracle():
-    split = split_source(work.source(rounds=2, inner=2), work.config()).split
-    image = RuntimeImage.for_split(split)
-    solo = Session(image)
-    solo.run()
-    want = solo.observables()
+#: Solo-run observables of each request-sized Table 1 program
+#: (``request_workloads()``).  Machine-independent: a pooled session
+#: must reproduce them bit for bit.
+REQUEST_OBSERVABLES = {
+    "List": {
+        "messages": {
+            "forward": 5, "getField": 0, "setField": 0, "sync": 4,
+            "lgoto": 10, "rgoto": 14, "total_messages": 42,
+            "eliminated": 14,
+        },
+        "simulated_seconds": 0.015136,
+        "ics_depths": {"A": 0, "B": 0, "T": 0},
+    },
+    "Medical": {
+        "messages": {
+            "forward": 0, "getField": 3, "setField": 5, "sync": 0,
+            "lgoto": 1, "rgoto": 7, "total_messages": 24,
+            "eliminated": 10,
+        },
+        "simulated_seconds": 0.007947,
+        "ics_depths": {
+            "ClinicHost": 0, "InsurerHost": 0, "LabHost": 0,
+            "PartnerHost": 0,
+        },
+    },
+    "OT": {
+        "messages": {
+            "forward": 2, "getField": 0, "setField": 0, "sync": 1,
+            "lgoto": 2, "rgoto": 5, "total_messages": 13,
+            "eliminated": 4,
+        },
+        "simulated_seconds": 0.004543,
+        "ics_depths": {"A": 0, "B": 0, "T": 0},
+    },
+    "Tax": {
+        "messages": {
+            "forward": 0, "getField": 4, "setField": 0, "sync": 0,
+            "lgoto": 1, "rgoto": 7, "total_messages": 16,
+            "eliminated": 3,
+        },
+        "simulated_seconds": 0.00532,
+        "ics_depths": {"Bank": 0, "Broker": 0, "Prep": 0},
+    },
+    "Work": {
+        "messages": {
+            "forward": 0, "getField": 0, "setField": 0, "sync": 0,
+            "lgoto": 2, "rgoto": 2, "total_messages": 4,
+            "eliminated": 0,
+        },
+        "simulated_seconds": 0.001539,
+        "ics_depths": {"A": 0, "B": 0},
+    },
+}
 
-    driver = MultiSessionDriver(image, concurrency=16)
+
+def solo_observables(split):
+    solo = Session(RuntimeImage.for_split(split))
+    solo.run()
+    return solo.observables()
+
+
+@pytest.mark.parametrize("name", sorted(REQUEST_OBSERVABLES))
+def test_driver_interleaving_matches_solo_oracle(name):
+    source, config = request_workloads()[name]
+    split = split_source(source, config).split
+    want = solo_observables(split)
+    assert want == REQUEST_OBSERVABLES[name]
+
+    driver = MultiSessionDriver(RuntimeImage.for_split(split), concurrency=16)
     records = driver.run_many(40)
     assert len(records) == 40
     for record in records:
@@ -108,10 +175,8 @@ def test_mixed_image_driver_matches_each_solo_oracle():
     """One driver serving heterogeneous programs: every pooled session
     must be bit-identical to the solo oracle of *its own* program."""
     splits = {
-        "tax": split_source(tax.source(records=3), tax.config()).split,
-        "work": split_source(work.source(rounds=2, inner=2),
-                             work.config()).split,
-        "ot": split_source(ot.source(rounds=1), ot.config()).split,
+        name: split_source(source, config).split
+        for name, (source, config) in request_workloads().items()
     }
     images = {name: RuntimeImage.for_split(s) for name, s in splits.items()}
     oracles = {}
@@ -132,13 +197,53 @@ def test_mixed_image_driver_matches_each_solo_oracle():
     driver = MultiSessionDriver(list(images.values()), concurrency=12)
     records = driver.run_many(30, observer=observer)
     assert len(records) == 30
-    assert seen == {"tax", "work", "ot"}
+    assert seen == set(REQUEST_OBSERVABLES)
     # One pool per image — sessions never migrate between programs —
     # and the single-image alias still points at the first.
     assert len(driver.pools) == len(images)
     assert driver.pool is driver.pools[0]
     for pool, image in zip(driver.pools, images.values()):
         assert pool.image is image
+
+
+@pytest.mark.parametrize("owners", [2, 4, 8, 16])
+def test_aggregation_messages_scale_with_owners(owners):
+    """The N-owner aggregation program sends two messages per owner,
+    solo and pooled alike."""
+    split = split_source(
+        aggregation_source(owners), aggregation_config(owners)
+    ).split
+    want = solo_observables(split)
+    assert want["messages"]["total_messages"] == 2 * owners
+    records = MultiSessionDriver(
+        RuntimeImage.for_split(split), concurrency=4
+    ).run_many(8)
+    assert all(record["messages"] == want["messages"] for record in records)
+
+
+def ot_config_with_inert_hosts(extra):
+    """The OT trust configuration plus ``extra`` hosts no data or code
+    can be placed on (fresh principals, unrelated trust)."""
+    trust = ot.config()
+    for j in range(1, extra + 1):
+        trust.add_host(
+            HostDescriptor.of(f"X{j}", f"{{Ext{j}:}}", f"{{?:Ext{j}}}")
+        )
+    return trust
+
+
+@pytest.mark.parametrize("extra", [0, 2, 6, 14])
+def test_inert_hosts_do_not_move_ot_placement(extra):
+    """Hosts nothing can be placed on leave OT's message counts exactly
+    those of plain OT."""
+    source, _ = request_workloads()["OT"]
+    split = split_source(source, ot_config_with_inert_hosts(extra)).split
+    want = solo_observables(split)
+    assert want["messages"] == REQUEST_OBSERVABLES["OT"]["messages"]
+    records = MultiSessionDriver(
+        RuntimeImage.for_split(split), concurrency=4
+    ).run_many(8)
+    assert all(record["messages"] == want["messages"] for record in records)
 
 
 def test_mixed_driver_lean_logging_keeps_observables():

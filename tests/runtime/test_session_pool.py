@@ -167,7 +167,8 @@ def test_lean_pool_opts_still_win_over_the_reset_default():
 def test_pooled_runs_each_persist_under_env_storage(tmp_path, monkeypatch):
     """Under ``REPRO_STORAGE=sqlite`` a completed run discards its auto
     tier; recycling the session must create a fresh one, so every pooled
-    run commits its boundaries — not only the first."""
+    run appends WAL records and commits its boundaries — not only the
+    first — and no run degrades to memory-only."""
     from repro.runtime import storage
 
     monkeypatch.setenv("REPRO_STORAGE", "sqlite")
@@ -175,9 +176,12 @@ def test_pooled_runs_each_persist_under_env_storage(tmp_path, monkeypatch):
     split = split_source(ot.source(rounds=1), ot.config()).split
     pool = SessionPool(RuntimeImage.for_split(split), size=1)
     for _ in range(3):
-        before = storage.stats()["boundaries"]
+        before = storage.stats()
         session = pool.acquire()
         session.run()
         pool.release(session)
-        assert storage.stats()["boundaries"] > before
+        after = storage.stats()
+        assert after["appends"] > before["appends"]
+        assert after["boundaries"] > before["boundaries"]
+        assert after["degradations"] == before["degradations"]
     assert pool.created == 1

@@ -1,16 +1,52 @@
 """Tests for the Section 7.1 benchmark workloads: correctness of each
-computation and the qualitative shape of its Table 1 message profile."""
+computation, the qualitative shape of its Table 1 message profile, and
+the full-size Table 1 numbers pinned exactly."""
+
+import json
+from pathlib import Path
 
 import pytest
 
+from repro.runtime import RuntimeImage, Session
+from repro.splitter import split_source
 from repro.workloads import (
     listcompare,
+    medical,
     ot,
     run_ot_handcoded,
     run_tax_handcoded,
     tax,
     work,
 )
+
+#: Table 1 (ours), shared with the benchmark's correctness gate.
+EXPECTED_TABLE1 = Path(__file__).resolve().parents[2] / "perfbench" / (
+    "expected_table1.json"
+)
+
+TABLE1_PROGRAMS = {
+    "list": listcompare,
+    "ot": ot,
+    "tax": tax,
+    "work": work,
+    "medical": medical,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE1_PROGRAMS))
+def test_full_size_program_matches_expected_table1(name):
+    """Per-kind message counts and simulated seconds of each program at
+    its default size are machine-independent: they must equal the
+    expected table exactly."""
+    with open(EXPECTED_TABLE1, encoding="utf-8") as handle:
+        want = json.load(handle)["workloads"][name]
+    module = TABLE1_PROGRAMS[name]
+    split = split_source(module.source(), module.config()).split
+    session = Session(RuntimeImage.for_split(split))
+    session.run()
+    observables = session.observables()
+    assert observables["messages"] == want["messages"]
+    assert observables["simulated_seconds"] == want["simulated_seconds"]
 
 
 @pytest.fixture(scope="module")
