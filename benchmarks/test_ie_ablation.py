@@ -13,7 +13,7 @@ oblivious transfer.
 import pytest
 
 from repro.labels import I, IntegLabel
-from repro.runtime import Adversary, DistributedExecutor
+from repro.runtime import Adversary, RuntimeImage, Session
 from repro.splitter import TermCall, split_source
 from repro.splitter import ir as sir
 from repro.workloads import ot
@@ -41,9 +41,9 @@ class TestEntryIntegrityAblation:
 
         def attack():
             result = make_split()
-            executor = DistributedExecutor(result.split)
-            executor.run()
-            adversary = Adversary(executor, "B")
+            session = Session(RuntimeImage.for_split(result.split))
+            session.run()
+            adversary = Adversary(session, "B")
             call_entry = next(
                 entry
                 for entry, fragment in result.split.fragments.items()
@@ -63,9 +63,9 @@ class TestEntryIntegrityAblation:
         def attack():
             result = make_split()
             weaken_to_paper_literal(result.split)
-            executor = DistributedExecutor(result.split)
-            executor.run()
-            adversary = Adversary(executor, "B")
+            session = Session(RuntimeImage.for_split(result.split))
+            session.run()
+            adversary = Adversary(session, "B")
             call_entry = next(
                 entry
                 for entry, fragment in result.split.fragments.items()

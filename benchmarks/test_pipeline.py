@@ -5,7 +5,7 @@ not paper numbers; they characterize this implementation."""
 import pytest
 
 from repro.lang import check_source
-from repro.runtime import DistributedExecutor, FrameID
+from repro.runtime import FrameID, RuntimeImage, Session
 from repro.runtime.network import Message
 from repro.splitter import (
     compute_candidates,
@@ -70,8 +70,8 @@ class TestDynamicChecks:
         """How fast a host validates (and denies) an illegal getField —
         the per-request cost the paper bounds at 6%."""
         split = split_source(ot_source, ot_config).split
-        executor = DistributedExecutor(split)
-        host_a = executor.host("A")
+        session = Session(RuntimeImage.for_split(split))
+        host_a = session.hosts["A"]
         message = Message(
             "getField",
             "B",
@@ -83,8 +83,8 @@ class TestDynamicChecks:
 
     def test_token_mint_and_verify(self, benchmark, ot_source, ot_config):
         split = split_source(ot_source, ot_config).split
-        executor = DistributedExecutor(split)
-        host_a = executor.host("A")
+        session = Session(RuntimeImage.for_split(split))
+        host_a = session.hosts["A"]
         frame = FrameID(("OTBench", "main"))
 
         def mint_verify():

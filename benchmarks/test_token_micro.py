@@ -1,19 +1,17 @@
-"""Microbenchmarks of capability-token mint/verify and the MAC memo.
+"""Microbenchmarks of capability-token mint/verify, and the verify
+differential.
 
 The hot-path profile attributes a visible slice of per-message time to
-``token`` (HMAC-SHA256 under the per-host key).  The key registry memoizes
-correct MACs keyed on ``(host, message bytes)`` — the memo rides the
-shared :class:`RuntimeImage`, so interleaved sessions of one image batch
-their verification work: the first presentation of a token pays the
-HMAC, later re-derivations of the same bytes are a dict hit.
+``token`` (HMAC-SHA256 under the per-host key).  The key registry keeps
+one keyed HMAC base per key, so a MAC costs one ``copy()`` plus the
+message bytes; it keeps no per-message state, so every ``verify``
+recomputes the MAC.
 
-These pin (a) the rates in isolation, and (b) the *safety* contract the
-optimization leans on: memoized verification returns the verdict of an
-HMAC-SHA256 recomputed from the raw host key for every token class —
-valid, forged, tampered, cross-host, and minted bytes under a bogus
-MAC — and replay rejection never
-depended on ``verify`` in the first place (the one-shot ICS pop
-enforces it).
+These pin (a) the rates in isolation, and (b) the verdicts: registry
+verification agrees with an HMAC-SHA256 recomputed from the raw host key
+for every token class — valid, forged, tampered, cross-host, and minted
+bytes under a bogus MAC — and replay rejection never depended on
+``verify`` in the first place (the one-shot ICS pop enforces it).
 """
 
 import hashlib
@@ -32,7 +30,7 @@ def fresh_factory():
 
 def recomputed_verdict(factory, token):
     """The verdict of verifying ``token`` at ``factory``'s host, computed
-    here from the raw key: no registry, no memo."""
+    here from the raw key, without the registry."""
     if token.host != factory.host:
         return False
     key = factory._registry.key_of(f"host:{factory.host}")
@@ -47,8 +45,8 @@ def token_corpus(factory):
     tampered = factory.mint(FRAME, "e1")
     tampered.entry = "privileged"
     cross = TokenFactory("A", KeyRegistry()).mint(FRAME, "e1")
-    # Minted bytes (so their MAC is memoized) under a bogus MAC: the
-    # memo's hit path must still compare against the presented MAC.
+    # Bytes this factory minted, presented under a bogus MAC: verify
+    # must compare against the presented MAC, not trust the bytes.
     remaced = factory.mint(FRAME, "e1")
     remaced.mac = forged.mac
     return [("valid", valid), ("forged", forged),
@@ -62,20 +60,8 @@ class TestTokenRates:
         token = benchmark(lambda: factory.mint(FRAME, "e1"))
         assert factory.verify(token)
 
-    def test_verify_rate_memoized(self, benchmark):
-        # Every mint seeds the memo, so steady-state verification of
-        # in-flight tokens is the fast path being measured here.
-        factory = fresh_factory()
-        tokens = [factory.mint(FRAME, f"e{i}") for i in range(64)]
-
-        def verify_all():
-            return sum(factory.verify(token) for token in tokens)
-
-        assert benchmark(verify_all) == len(tokens)
-
     def test_verify_rate_recomputed(self, benchmark):
-        # The cost the memo saves: the same verdicts from a full
-        # HMAC-SHA256 per token.
+        # A full HMAC-SHA256 per token, from the raw key.
         factory = fresh_factory()
         tokens = [factory.mint(FRAME, f"e{i}") for i in range(64)]
 
@@ -85,40 +71,39 @@ class TestTokenRates:
         assert benchmark(verify_all) == len(tokens)
 
 
-class TestBatchedVerifySafety:
-    def test_memoized_verdicts_match_recomputed(self):
-        """The differential: for every token class, the memoized
-        registry agrees with an HMAC recomputed from the raw key."""
+class TestVerifySafety:
+    def test_verdicts_match_raw_key_hmac(self):
+        """The differential: for every token class, the registry agrees
+        with an HMAC recomputed from the raw key."""
         factory = fresh_factory()
         verdicts = set()
         for name, token in token_corpus(factory):
-            # Present each token twice: the second pass is the pure
-            # dict-hit path and must not change the verdict.
+            # Present each token twice: a repeat must not change the
+            # verdict.
             first = factory.verify(token)
             second = factory.verify(token)
             recomputed = recomputed_verdict(factory, token)
             assert first == second == recomputed, (
-                f"{name} token verdict diverged between memoized and "
-                f"recomputed verification"
+                f"{name} token verdict diverged from the raw-key HMAC"
             )
             verdicts.add(recomputed)
         # Sanity: the corpus actually spans both verdicts.
         assert verdicts == {True, False}
 
-    def test_memo_holds_only_correct_macs(self):
-        """A forged token's bytes never enter the memo: verification of
-        a forgery cannot poison later verifications."""
+    def test_forgery_does_not_affect_later_verifies(self):
+        """Verifying a forgery changes nothing: it stays rejected, and a
+        genuine token over the same frame and entry still verifies."""
         factory = fresh_factory()
         bad = forged_token(FRAME, "e1", "T")
         assert not factory.verify(bad)
-        assert not factory.verify(bad)  # still rejected, post-memo
+        assert not factory.verify(bad)
         good = factory.mint(bad.frame, bad.entry)
         assert factory.verify(good)
 
     def test_replay_rejection_is_ics_not_verify(self):
-        """Batching verify is safe w.r.t. replays because replay
-        protection never lived there: a replayed *valid* token passes
-        the MAC check but the one-shot ICS pop refuses it."""
+        """Replay protection never lived in ``verify``: a replayed
+        *valid* token passes the MAC check but the one-shot ICS pop
+        refuses it."""
         factory = fresh_factory()
         stack = LocalStack()
         token = factory.mint(FRAME, "e1")
@@ -127,12 +112,12 @@ class TestBatchedVerifySafety:
         assert stack.pop_if_top(token) == (None,)
         assert stack.pop_if_top(token) is None  # the replay dies here
 
-    def test_hash_count_still_tracks_simulated_cost(self):
-        """The memo must not leak into the simulated cost model: every
-        mint/verify charges a hash regardless of memo hits."""
+    def test_hash_count_tracks_simulated_cost(self):
+        """Every mint/verify charges one hash to the simulated cost
+        model."""
         factory = fresh_factory()
         before = factory.hash_count
         token = factory.mint(FRAME, "e1")
         factory.verify(token)
-        factory.verify(token)  # memo hit — still a charged operation
+        factory.verify(token)
         assert factory.hash_count == before + 3

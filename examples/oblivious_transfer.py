@@ -15,7 +15,7 @@ learn which.  This script walks the whole Section 4 story:
 Run:  python examples/oblivious_transfer.py
 """
 
-from repro import Adversary, DistributedExecutor, SplitError, split_source
+from repro import Adversary, RuntimeImage, Session, SplitError, split_source
 from repro.reporting import fig4
 from repro.trust import TrustConfiguration, example_hosts
 
@@ -103,13 +103,13 @@ def main() -> None:
     print("=" * 70)
     print("Step 4: run it, then let Bob's machine turn hostile")
     print("=" * 70)
-    executor = DistributedExecutor(result.split)
-    outcome = executor.run()
+    session = Session(RuntimeImage.for_split(result.split))
+    outcome = session.run()
     print(f"Bob received: {outcome.main_var('r')} "
           f"(asked for secret #1 = 100)")
     print(f"message profile: {outcome.counts}")
 
-    adversary = Adversary(executor, "B")
+    adversary = Adversary(session, "B")
     adversary.capture_tokens()
     print("\nBob races for the second secret:")
     print(" ", adversary.try_get_field("OTExample", "m2"))
@@ -120,7 +120,7 @@ def main() -> None:
         print(" ", adversary.try_replay(token))
     assert adversary.all_rejected()
     print("\nall attacks rejected — audit log:")
-    for entry in executor.network.audit_log:
+    for entry in session.network.audit_log:
         print("  *", entry)
 
 

@@ -12,7 +12,7 @@ price when there is one — is declassified to both parties.
 Run:  python examples/procurement.py
 """
 
-from repro import Adversary, DistributedExecutor, split_source
+from repro import Adversary, RuntimeImage, Session, split_source
 from repro.trust import HostDescriptor, TrustConfiguration
 
 SOURCE = """
@@ -70,8 +70,8 @@ def main() -> None:
         print(f"  {placement.cls}.{placement.field}{placement.label} "
               f"-> {placement.host}")
 
-    executor = DistributedExecutor(split)
-    outcome = executor.run()
+    session = Session(RuntimeImage.for_split(split))
+    outcome = session.run()
     print(f"\ndeal struck:  "
           f"{outcome.field_value('Procurement', 'dealStruck')}")
     print(f"agreed price: "
@@ -80,10 +80,10 @@ def main() -> None:
     print(f"messages: {outcome.counts['total_messages']}")
 
     print("\nThe supplier's machine fishes for the buyer's ceiling:")
-    adversary = Adversary(executor, "SupplierHost")
+    adversary = Adversary(session, "SupplierHost")
     print(" ", adversary.try_get_field("Procurement", "maxPrice"))
     print("\nThe buyer's machine fishes for the supplier's floor:")
-    buyer = Adversary(executor, "BuyerHost")
+    buyer = Adversary(session, "BuyerHost")
     print(" ", buyer.try_get_field("Procurement", "floorPrice"))
     assert adversary.all_rejected() and buyer.all_rejected()
     print("\nneither side learns the other's numbers — only the deal.")

@@ -7,8 +7,9 @@ Run:  python examples/quickstart.py
 
 from repro import (
     Adversary,
-    DistributedExecutor,
     HostDescriptor,
+    RuntimeImage,
+    Session,
     TrustConfiguration,
     split_source,
 )
@@ -53,14 +54,14 @@ def main() -> None:
         print(f"  {fragment.entry}  (I_e = {{{fragment.integ}}})")
 
     # 3. Execute it over the simulated distributed runtime (Section 5).
-    executor = DistributedExecutor(split)
-    outcome = executor.run()
+    session = Session(RuntimeImage.for_split(split))
+    outcome = session.run()
     print(f"\nadjusted = {outcome.field_value('Payroll', 'adjusted')}")
     print(f"messages exchanged: {outcome.counts['total_messages']}"
           f" (profile: {outcome.counts})")
 
     # 4. Let Bob's machine turn evil (Section 3.2's threat model).
-    adversary = Adversary(executor, "B")
+    adversary = Adversary(session, "B")
     print("\nBob's machine attacks:")
     print(" ", adversary.try_get_field("Payroll", "salary"))
     print(" ", adversary.try_set_field("Payroll", "adjusted", 0))

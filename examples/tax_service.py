@@ -12,7 +12,7 @@ values each party needs.
 Run:  python examples/tax_service.py
 """
 
-from repro import DistributedExecutor, Adversary
+from repro import Adversary, RuntimeImage, Session
 from repro.splitter import split_source
 from repro.workloads import tax
 
@@ -34,8 +34,8 @@ def main() -> None:
         fragments = split.fragments_on(host)
         print(f"  {host}: {len(fragments)} fragments")
 
-    executor = DistributedExecutor(split)
-    outcome = executor.run()
+    session = Session(RuntimeImage.for_split(split))
+    outcome = session.run()
     trades = [3 + i * 5 % 97 for i in range(records)]
     print(f"\ntotal gains:    {outcome.field_value('TaxService', 'totalGains')}"
           f"  (expected {sum(trades)})")
@@ -48,7 +48,7 @@ def main() -> None:
           "three institutions' hosts.")
 
     # The broker goes rogue: it may see trades, never the bank's slice.
-    adversary = Adversary(executor, "Broker")
+    adversary = Adversary(session, "Broker")
     print("\nBroker's machine misbehaves:")
     print(" ", adversary.try_get_field("TaxService", "account"))
     print(" ", adversary.try_get_field("TaxService", "taxDue"))

@@ -21,7 +21,8 @@ from .trust import HostDescriptor, TrustConfiguration, example_hosts
 from .runtime import (
     Adversary,
     CostModel,
-    DistributedExecutor,
+    RuntimeImage,
+    Session,
     run_single_host,
     run_split_program,
 )
@@ -40,7 +41,8 @@ __all__ = [
     "example_hosts",
     "Adversary",
     "CostModel",
-    "DistributedExecutor",
+    "RuntimeImage",
+    "Session",
     "run_single_host",
     "run_split_program",
     "__version__",

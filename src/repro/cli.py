@@ -8,8 +8,7 @@ Usage (also via ``python -m repro``)::
                        [--storage sqlite [--storage-dir DIR]]
     python -m repro faultsweep [program.jif --hosts hosts.json]
                                [--schedules N] [--seed S]
-                               [--crash-points [--crash-mode MODE]
-                                [--per-point K]]
+                               [--crash-points [--per-point K]]
                                [--storage sqlite] [--storage-faults]
     python -m repro rehydrate --smoke
     python -m repro rehydrate program.jif --hosts hosts.json
@@ -54,7 +53,7 @@ import sys
 from typing import List, Optional
 
 from .lang import JifError, check_source
-from .runtime import DistributedExecutor
+from .runtime import run_split_program
 from .splitter import SplitError, split_source
 from .trust import HostDescriptor, TrustConfiguration
 
@@ -205,10 +204,9 @@ def cmd_run(args: argparse.Namespace) -> int:
                 exit_code=1,
             )
         print(f"durable storage: sqlite at {directory}")
-    executor = DistributedExecutor(
+    outcome = run_split_program(
         result.split, opt_level=args.opt_level, storage=storage
     )
-    outcome = executor.run()
     if storage is not None:
         if storage.available:
             from .runtime.storage import stats as storage_stats
@@ -297,11 +295,9 @@ def cmd_faultsweep(args: argparse.Namespace) -> int:
                 split,
                 opt_level=args.opt_level,
                 per_point=args.per_point,
-                crash_mode=args.crash_mode,
                 name=name,
             )
-            print(f"crash-point sweep over {name} "
-                  f"(mode {args.crash_mode}):")
+            print(f"crash-point sweep over {name}:")
         else:
             report = sweep(
                 split,
@@ -491,11 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="instead of random schedules, crash each host at each "
              "message-kind receipt boundary and verify recovery is "
              "bit-identical to the fault-free run",
-    )
-    faultsweep.add_argument(
-        "--crash-mode", choices=("durable", "volatile"), default="volatile",
-        help="what a crash destroys: 'volatile' wipes everything but "
-             "the checkpointed store and recovers via WAL replay",
     )
     faultsweep.add_argument(
         "--per-point", type=int, default=2,

@@ -30,8 +30,9 @@ equality begins with an identity check and hashes are computed once.
 Lattice operations are memoized in the tables of :mod:`.cache`, keyed by
 operand identities plus — for delegation-sensitive operations — the
 acts-for hierarchy's ``cache_key`` version stamp.  A pristine, uncached
-re-implementation lives in :mod:`.reference` and the differential tests
-in ``tests/labels/test_lattice_differential.py`` hold the two equal.
+re-implementation lives in ``tests/labels/reference.py`` and the
+differential tests in ``tests/labels/test_lattice_differential.py`` hold
+the two equal.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict
 
-from ..runtime import Adversary, DistributedExecutor, run_split_program
+from ..runtime import Adversary, RuntimeImage, Session
 from ..splitter import SplitError, split_source
 from ..workloads import (
     listcompare,
@@ -116,9 +116,9 @@ def scenario_experiment() -> Dict[str, Any]:
 
 def attack_experiment() -> Dict[str, Any]:
     result = split_source(ot.source(rounds=1), ot.config())
-    executor = DistributedExecutor(result.split)
-    executor.run()
-    adversary = Adversary(executor, "B")
+    session = Session(RuntimeImage.for_split(result.split))
+    session.run()
+    adversary = Adversary(session, "B")
     adversary.capture_tokens()
     adversary.try_get_field("OTBench", "m1")
     adversary.try_get_field("OTBench", "m2")

@@ -2,7 +2,6 @@
 
 from .attacks import Adversary, AttackReport
 from .checkpoint import Checkpoint, CheckpointTamperError, DurableStore
-from .executor import DistributedExecutor, ExecutionResult, run_split_program
 from .faults import CrashPointInjector, FaultInjector, FaultPolicy, RetryPolicy
 from .faultsweep import (
     CrashSweepReport,
@@ -14,10 +13,11 @@ from .faultsweep import (
 from .host import HaltSignal, TrustedHost
 from .ics import LocalStack
 from .session import (
-    MultiSessionDriver,
+    ExecutionResult,
     RuntimeImage,
     Session,
     SessionPool,
+    run_split_program,
 )
 from .network import (
     CostModel,
@@ -43,7 +43,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointTamperError",
     "DurableStore",
-    "DistributedExecutor",
     "ExecutionResult",
     "run_split_program",
     "CrashPointInjector",
@@ -58,7 +57,6 @@ __all__ = [
     "HaltSignal",
     "TrustedHost",
     "LocalStack",
-    "MultiSessionDriver",
     "RuntimeImage",
     "Session",
     "SessionPool",

@@ -17,7 +17,7 @@ it.
 Creating an :class:`Adversary` switches the network's quarantine layer
 on: a detected violation no longer just returns ``_REJECTED`` — it
 raises :class:`~repro.runtime.network.SecurityAbort` and blacklists the
-bad host, which is exactly the fail-closed unwinding the executor needs
+bad host, which is exactly the fail-closed unwinding the session needs
 instead of a stall.  The attack helpers catch the abort and record it
 as a rejection.
 """
@@ -29,9 +29,9 @@ from typing import Any, Callable, List, Optional
 
 from ..splitter.fragments import SplitProgram
 from .checkpoint import Checkpoint, CheckpointTamperError
-from .executor import DistributedExecutor
 from .host import _REJECTED, TrustedHost
 from .network import Message, SecurityAbort
+from .session import Session
 from .tokens import Token, forged_token
 from .values import FrameID
 
@@ -54,10 +54,10 @@ class AttackReport:
 class Adversary:
     """A subverted host mounting attacks against the good hosts."""
 
-    def __init__(self, executor: DistributedExecutor, bad_host: str) -> None:
-        self.executor = executor
-        self.network = executor.network
-        self.split: SplitProgram = executor.split
+    def __init__(self, session: Session, bad_host: str) -> None:
+        self.session = session
+        self.network = session.network
+        self.split: SplitProgram = session.split
         self.bad_host = bad_host
         self.reports: List[AttackReport] = []
         #: capabilities observed in transit to the bad host.
@@ -261,7 +261,7 @@ class Adversary:
         can do against storage they control is attach a random seal.
         The victim's recovery must fail closed.
         """
-        host = self.executor.hosts[victim]
+        host = self.session.hosts[victim]
         host.ensure_durable()
         store = host.durable
         genuine_checkpoint, genuine_wal = store.checkpoint, list(store.wal)
@@ -289,7 +289,7 @@ class Adversary:
         matches the sealed high-water counter, so the rollback is
         detected (the TPM-register trick).
         """
-        host = self.executor.hosts[victim]
+        host = self.session.hosts[victim]
         host.ensure_durable()
         store = host.durable
         stale = store.checkpoint

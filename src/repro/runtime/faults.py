@@ -10,16 +10,12 @@ in :mod:`repro.runtime.network` (sequence numbers, ack/retry with
 exponential backoff, receiver-side idempotency) masks these faults or
 fails closed with :class:`~repro.runtime.network.DeliveryTimeoutError`.
 
-Crashes are fail-stop and come in two state models (``crash_mode``):
-
-* ``"durable"`` — the original model: a crashed host loses messages in
-  flight but keeps its fields, frames, ICS slice, and
-  duplicate-suppression table across the restart, as if every mutation
-  hit stable storage synchronously.
-* ``"volatile"`` — the realistic model: a crash wipes all of that, and
-  the restarted host must rebuild its state from its
-  :class:`~repro.runtime.checkpoint.DurableStore` (sealed checkpoint +
-  write-ahead-log replay) and announce its recovery to the other hosts.
+Crashes are fail-stop and volatile: a crash loses the messages in
+flight and wipes the host's fields, frames, ICS slice and
+duplicate-suppression table.  The restarted host rebuilds that state
+from its :class:`~repro.runtime.checkpoint.DurableStore` (sealed
+checkpoint + write-ahead-log replay) and announces its recovery to the
+other hosts.
 
 Besides the probabilistic :class:`FaultInjector`, the deterministic
 :class:`CrashPointInjector` crashes one chosen host at one chosen
@@ -52,10 +48,7 @@ class FaultPolicy:
     * ``max_crashes`` — total crash budget across the run (``None`` for
       unlimited), which keeps schedules from livelocking a run;
     * ``crashable_hosts`` — restrict crashes to these hosts (``None``
-      means any host may crash);
-    * ``crash_mode`` — ``"durable"`` (state survives the restart) or
-      ``"volatile"`` (a crash wipes the host; it recovers from its
-      sealed checkpoint + WAL and announces the recovery).
+      means any host may crash).
     """
 
     def __init__(
@@ -68,7 +61,6 @@ class FaultPolicy:
         crash_downtime: float = 2e-3,
         max_crashes: Optional[int] = None,
         crashable_hosts: Optional[Iterable[str]] = None,
-        crash_mode: str = "durable",
     ) -> None:
         for name, p in (
             ("drop_prob", drop_prob),
@@ -88,11 +80,6 @@ class FaultPolicy:
         self.crashable_hosts = (
             frozenset(crashable_hosts) if crashable_hosts is not None else None
         )
-        if crash_mode not in ("durable", "volatile"):
-            raise ValueError(
-                f"crash_mode must be 'durable' or 'volatile', got {crash_mode!r}"
-            )
-        self.crash_mode = crash_mode
 
     def __repr__(self) -> str:
         return (
@@ -100,8 +87,7 @@ class FaultPolicy:
             f"dup={self.duplicate_prob:.3f}, "
             f"reorder={self.reorder_prob:.3f}, "
             f"jitter={self.jitter_max:.2e}, "
-            f"crash={self.crash_prob:.3f}, "
-            f"mode={self.crash_mode})"
+            f"crash={self.crash_prob:.3f})"
         )
 
 
@@ -263,8 +249,7 @@ class CrashPointInjector(FaultInjector):
     injected, so the execution prefix before the crash is bit-identical
     to the fault-free run — which is what makes enumerating every
     ``(host, kind, occurrence)`` boundary from a fault-free reference
-    log sound.  Defaults to the volatile crash mode, the one that
-    actually exercises checkpoint/WAL recovery.
+    log sound.
     """
 
     def __init__(
@@ -273,7 +258,6 @@ class CrashPointInjector(FaultInjector):
         kind: str,
         occurrence: int = 0,
         crash_downtime: float = 2e-3,
-        crash_mode: str = "volatile",
     ) -> None:
         super().__init__(
             FaultPolicy(
@@ -281,7 +265,6 @@ class CrashPointInjector(FaultInjector):
                 crash_downtime=crash_downtime,
                 max_crashes=1,
                 crashable_hosts=(host,),
-                crash_mode=crash_mode,
             ),
             seed=0,
         )

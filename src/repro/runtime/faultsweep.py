@@ -23,14 +23,14 @@ from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..splitter.fragments import SplitProgram
-from .executor import ExecutionResult, run_split_program
+from .session import ExecutionResult, run_split_program
 from .faults import CrashPointInjector, FaultInjector, FaultPolicy
 from .network import DeliveryTimeoutError
 
 
 def random_policy(rng: random.Random) -> FaultPolicy:
     """Draw one fault schedule's knobs; spans mild to fairly hostile."""
-    policy = FaultPolicy(
+    return FaultPolicy(
         drop_prob=rng.uniform(0.0, 0.15),
         duplicate_prob=rng.uniform(0.0, 0.15),
         reorder_prob=rng.uniform(0.0, 0.3),
@@ -39,12 +39,6 @@ def random_policy(rng: random.Random) -> FaultPolicy:
         crash_downtime=rng.uniform(1e-4, 4e-3),
         max_crashes=3,
     )
-    # Drawn last so every pre-existing seed keeps its exact fault
-    # schedule: half the schedules now crash with volatile state
-    # (checkpoint + WAL recovery), half with the legacy durable state.
-    if rng.random() < 0.5:
-        policy.crash_mode = "volatile"
-    return policy
 
 
 class ScheduleOutcome:
@@ -273,7 +267,6 @@ def _run_crash_point(
     split: SplitProgram,
     point: Tuple[str, str, int],
     opt_level: int,
-    crash_mode: str,
     crash_downtime: float,
     token_seed: int,
     ref_fields: Dict[Tuple[str, str], object],
@@ -284,8 +277,7 @@ def _run_crash_point(
     untagged failure line (``None`` unless the point is a failure)."""
     dst, kind, occurrence = point
     injector = CrashPointInjector(
-        dst, kind, occurrence,
-        crash_downtime=crash_downtime, crash_mode=crash_mode,
+        dst, kind, occurrence, crash_downtime=crash_downtime
     )
     label = f"{dst}/{kind}@{occurrence}"
     try:
@@ -323,11 +315,11 @@ def _run_crash_point(
                 f"{host} ICS depth {h.stack.depth} != "
                 f"fault-free {ref_depths[host]}"
             )
-    if crash_mode == "volatile" and injector.fired and not any(
+    if injector.fired and not any(
         event[0] == "recover"
         for event in outcome.network.fault_events
     ):
-        problems.append("no recovery event after a volatile crash")
+        problems.append("no recovery event after a crash")
     if problems:
         detail = "; ".join(problems)
         return CrashPointOutcome(
@@ -340,7 +332,6 @@ def crash_point_sweep(
     split: SplitProgram,
     opt_level: int = 1,
     per_point: Optional[int] = 3,
-    crash_mode: str = "volatile",
     crash_downtime: float = 2e-3,
     name: str = "",
     token_seed: int = 0x5EED,
@@ -382,7 +373,7 @@ def crash_point_sweep(
     report = CrashSweepReport(ref_fields)
     for point in points:
         outcome, failure = _run_crash_point(
-            split, point, opt_level, crash_mode, crash_downtime,
+            split, point, opt_level, crash_downtime,
             token_seed, ref_fields, ref_depths, baseline_problems,
         )
         report.points.append(outcome)

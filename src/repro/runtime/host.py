@@ -20,8 +20,8 @@ Under fault injection the host additionally keeps a
 :class:`~repro.runtime.checkpoint.DurableStore`: every state mutation —
 field and array writes, frame variables, ICS pushes/pops, the
 idempotency table, deferred forwards — is written ahead to its WAL, and
-a sealed checkpoint compacts the log every few processed messages.  In
-the ``volatile`` crash mode a crash wipes all in-memory state
+a sealed checkpoint compacts the log every few processed messages.  A
+crash wipes all in-memory state
 (:meth:`TrustedHost.crash_wipe`); the restart rebuilds it bit-identically
 from checkpoint + WAL replay (:meth:`TrustedHost.recover`) and
 broadcasts a sealed ``recover`` announcement so peers re-forward
@@ -49,7 +49,7 @@ from .checkpoint import (
     copy_state,
     recovery_blob,
 )
-from .compiler import CompiledFragment, compile_split
+from .compiler import CompiledFragment
 from .ics import LocalStack
 from .network import Message, SecurityAbort, Transport
 from .tokens import Token, TokenFactory
@@ -85,25 +85,25 @@ class TrustedHost:
         split: SplitProgram,
         network: Transport,
         registry: KeyRegistry,
+        image,
         opt_level: int = 1,
         token_rng=None,
         checkpoint_interval: int = 4,
-        image=None,
     ) -> None:
         self.name = name
         self.split = split
         self.network = network
         self.opt_level = opt_level
-        #: this host's slice of a shared RuntimeImage (immutable per-split
-        #: artifacts: entry tables, invoker ACLs, initial field values,
-        #: precomputed forward integrity checks).  None for a standalone
-        #: host, which computes the same artifacts for itself below.
+        #: this host's slice of the shared RuntimeImage (a
+        #: :class:`~repro.runtime.session.HostImage`: entry tables,
+        #: invoker ACLs, initial field values, precomputed forward
+        #: integrity checks, the compiled-fragment cache).
         self._image = image
         self.factory = TokenFactory(name, registry, rng=token_rng)
         self.stack = LocalStack()
-        #: idempotency table: processed msg_id -> result.  Under the
-        #: volatile crash mode it is rebuilt from the durable store's
-        #: WAL, so retransmissions stay suppressed across a crash.
+        #: idempotency table: processed msg_id -> result.  After a crash
+        #: it is rebuilt from the durable store's WAL, so
+        #: retransmissions stay suppressed across the crash.
         self._seen_requests: Dict[int, Any] = {}
         #: arrays allocated here: oid -> element list / element label.
         self.array_store: Dict[int, list] = {}
@@ -115,31 +115,19 @@ class TrustedHost:
         self.frames: Dict[FrameID, Dict[str, Any]] = {}
         #: deferred data forwards: dst host -> {(fid, var): (value, label)}.
         self.pending: Dict[str, Dict[Tuple[int, str], Tuple[Any, Label, FrameID]]] = {}
-        if image is not None:
-            #: entries this host serves, with precomputed invoker ACLs
-            #: (shared, never mutated — every session reads one copy).
-            self.entries: Dict[str, Fragment] = image.entries
-            self.entry_acl: Dict[str, frozenset] = image.entry_acl
-            #: per-entry dispatch table: entry -> (fragment, invoker ACL)
-            #: so sync/rgoto validation is one dict probe instead of two.
-            self._entry_table: Dict[str, Tuple[Fragment, frozenset]] = (
-                image.entry_table
-            )
-            #: fields stored here: (cls, field, oid) -> value.
-            self.field_store: Dict[Tuple[str, str, Optional[int]], Any] = dict(
-                image.field_defaults
-            )
-        else:
-            self.entries = {f.entry: f for f in split.fragments_on(name)}
-            self.entry_acl = {
-                entry: split.entry_invokers(entry) for entry in self.entries
-            }
-            self._entry_table = {
-                entry: (fragment, self.entry_acl[entry])
-                for entry, fragment in self.entries.items()
-            }
-            self.field_store = {}
-            self._init_fields()
+        #: entries this host serves, with precomputed invoker ACLs
+        #: (shared, never mutated — every session reads one copy).
+        self.entries: Dict[str, Fragment] = image.entries
+        self.entry_acl: Dict[str, frozenset] = image.entry_acl
+        #: per-entry dispatch table: entry -> (fragment, invoker ACL)
+        #: so sync/rgoto validation is one dict probe instead of two.
+        self._entry_table: Dict[str, Tuple[Fragment, frozenset]] = (
+            image.entry_table
+        )
+        #: fields stored here: (cls, field, oid) -> value.
+        self.field_store: Dict[Tuple[str, str, Optional[int]], Any] = dict(
+            image.field_defaults
+        )
         #: cached program digest (checked on every remote request).
         self._digest = split.digest
         #: kind -> bound handler, replacing the if-chain in _dispatch.
@@ -157,9 +145,7 @@ class TrustedHost:
         self.peer_epochs: Dict[str, Tuple[int, int]] = {}
         #: fragments lowered to closures, compiled on first entry and
         #: shared across hosts via the split program.
-        self._compiled: Dict[str, CompiledFragment] = (
-            image.compiled if image is not None else compile_split(split)
-        )
+        self._compiled: Dict[str, CompiledFragment] = image.compiled
         self.checkpoint_interval = checkpoint_interval
         #: stable storage (WAL + sealed checkpoints).  Only materialized
         #: under fault injection, so fault-free runs stay bit-identical
@@ -170,11 +156,6 @@ class TrustedHost:
         )
         if network.faults is not None:
             self.ensure_durable()
-
-    def _init_fields(self) -> None:
-        for placement in self.split.fields_on(self.name):
-            key = (placement.cls, placement.field, None)
-            self.field_store[key] = placement.default_value()
 
     def reset(
         self,
@@ -198,12 +179,7 @@ class TrustedHost:
         # not the stack, so identity does not matter).
         self.stack._stack.clear()
         self._seen_requests.clear()
-        image = self._image
-        if image is not None:
-            self.field_store = dict(image.field_defaults)
-        else:
-            self.field_store = {}
-            self._init_fields()
+        self.field_store = dict(self._image.field_defaults)
         self.array_store.clear()
         self.array_meta.clear()
         self.frames.clear()
@@ -420,66 +396,41 @@ class TrustedHost:
         return True
 
     def _handle_forward(self, message: Message) -> Any:
-        """Apply forwarded frame variables after an integrity check.
+        """Apply forwarded frame variables after Figure 6's integrity
+        check ``I_src ⊑ I(L_var)``, one variable at a time.
 
+        Both sides of the check are static per split, so it is a lookup
+        in the image's precomputed denied sets.  A sender that is not a
+        configured host has no entry there and is denied every variable.
         A denied variable rejects the request (the accepted ones are
         still applied — they passed their own checks); honest senders
         never mix the two."""
-        accepted = True
         src = message.src
         remote = src != self.name
-        # With a shared image the per-variable integrity check is a
-        # precomputed set lookup: I_src ⊑ I(L_var) is static per split.
-        image = self._image
-        denied_pairs = (
-            image.forward_denied.get(src)
-            if image is not None and remote
-            else None
-        )
-        if not remote or (
-            denied_pairs is not None
-            and not denied_pairs
-            and src not in image.constant_denied
-        ):
-            # Fast path: nothing this sender forwards can be denied
-            # (locally, or statically per the precomputed sets), so the
-            # per-variable checks reduce to straight slot stores.
-            frames = self.frames
-            durable = self.durable
-            for fid, var_values in message.payload["vars"].items():
-                frame = frames.get(fid)
-                if frame is None:
-                    frame = frames[fid] = {}
-                if durable is None:
-                    frame.update(var_values)
-                else:
-                    for var, value in var_values.items():
-                        frame[var] = value
-                        durable.log("var", fid, var, value)
-            return True
+        if remote:
+            image = self._image
+            denied_pairs = image.forward_denied.get(src)
+            unknown = denied_pairs is None
+            constant_denied = unknown or src in image.constant_denied
+        accepted = True
         for fid, var_values in message.payload["vars"].items():
-            plan = self.split.methods[fid.method_key]
             for var, value in var_values.items():
-                if remote:
-                    if denied_pairs is not None:
-                        denied = (fid.method_key, var) in denied_pairs or (
-                            var not in plan.var_labels
-                            and src in image.constant_denied
-                        )
-                    else:
-                        label = plan.var_labels.get(var, Label.constant())
-                        sender = self.split.config.host(src)
-                        denied = not sender.integ.flows_to(
-                            label.integ, self.split.config.hierarchy
-                        )
-                    if denied:
-                        self.network.audit(
-                            self.name,
-                            f"forward of {var} denied from {src}: "
-                            f"I_{src} ⋢ I(L_var)",
-                        )
-                        accepted = False
-                        continue
+                if remote and (
+                    unknown
+                    or (fid.method_key, var) in denied_pairs
+                    or (
+                        constant_denied
+                        and var
+                        not in self.split.methods[fid.method_key].var_labels
+                    )
+                ):
+                    self.network.audit(
+                        self.name,
+                        f"forward of {var} denied from {src}: "
+                        f"I_{src} ⋢ I(L_var)",
+                    )
+                    accepted = False
+                    continue
                 self.set_var(fid, var, value)
         return True if accepted else _REJECTED
 

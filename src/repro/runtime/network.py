@@ -74,8 +74,8 @@ class SimNetwork(Transport):
         self.faults = faults
         self.retry = retry or RetryPolicy()
         self._handlers: Dict[str, Callable[[Message], Any]] = {}
-        #: host -> (on_crash, on_restart) hooks, used in volatile crash
-        #: mode to wipe a host's state and drive its recovery.
+        #: host -> (on_crash, on_restart) hooks that wipe a crashed
+        #: host's state and drive its recovery.
         self._crash_hooks: Dict[
             str, Tuple[Optional[Callable[[], None]], Optional[Callable[[], None]]]
         ] = {}
@@ -91,9 +91,7 @@ class SimNetwork(Transport):
         session wiring, not run state — while every piece of per-run
         accounting is cleared: clock, counts, logs, channel sequence
         numbers, idempotency-key counter, the control queue, fault
-        events, event listeners, the quarantine set, and the
-        log-recording flag (a session recycled out of a lean-logging
-        ``record_logs=False`` run records again by default).  Also
+        events, event listeners, and the quarantine set.  Also
         uninstalls any instance-level ``_account`` override (the tracer
         patches one in), so a previously traced session stops tracing
         when recycled.
@@ -183,15 +181,9 @@ class SimNetwork(Transport):
                 f"{message.kind} #{message.msg_id} attempt {attempt + 1}",
             )
 
-    def _volatile_crashes(self) -> bool:
-        return (
-            self.faults is not None
-            and self.faults.policy.crash_mode == "volatile"
-        )
-
     def _host_crashed(self, message: Message) -> None:
-        """Bookkeeping for a crash at receipt of ``message``: in volatile
-        mode the destination's state is wiped on the spot."""
+        """Bookkeeping for a crash at receipt of ``message``: the
+        destination's volatile state is wiped on the spot."""
         dst = message.dst
         self._account(message, messages=1)
         self._emit(
@@ -199,20 +191,18 @@ class SimNetwork(Transport):
             f"{dst} crashed on receipt of {message.kind} "
             f"#{message.msg_id}",
         )
-        if self._volatile_crashes():
-            hooks = self._crash_hooks.get(dst)
-            if hooks is not None and hooks[0] is not None:
-                hooks[0]()
+        hooks = self._crash_hooks.get(dst)
+        if hooks is not None and hooks[0] is not None:
+            hooks[0]()
 
     def _host_restarted(self, dst: str) -> None:
-        """Bookkeeping for a restart: in volatile mode the host runs its
-        recovery protocol (checkpoint + WAL replay + announcement)
-        before the pending delivery proceeds."""
+        """Bookkeeping for a restart: the host runs its recovery
+        protocol (checkpoint + WAL replay + announcement) before the
+        pending delivery proceeds."""
         self._emit("restart", None, dst, f"{dst} back up")
-        if self._volatile_crashes():
-            hooks = self._crash_hooks.get(dst)
-            if hooks is not None and hooks[1] is not None:
-                hooks[1]()
+        hooks = self._crash_hooks.get(dst)
+        if hooks is not None and hooks[1] is not None:
+            hooks[1]()
 
     def _try_deliver(
         self, message: Message, handler: Callable[[Message], Any], roundtrip: bool
@@ -265,7 +255,7 @@ class SimNetwork(Transport):
     # -- control transfers -------------------------------------------------------
 
     def post(self, message: Message) -> None:
-        """Queue a control transfer (rgoto/lgoto) for the executor loop."""
+        """Queue a control transfer (rgoto/lgoto) for the session loop."""
         if message.src == message.dst:
             self._queue.append(message)
             return

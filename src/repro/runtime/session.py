@@ -1,4 +1,10 @@
-"""Many-session execution: shared runtime images and pooled sessions.
+"""Running split programs: shared runtime images and pooled sessions.
+
+Good hosts preserve the source program's sequential execution (Section
+3.2): there is a single thread of control, embodied by the rgoto/lgoto
+message queue.  Execution starts at the main method's entry, holding
+the root capability ``t0`` (as host T does in Figure 4); consuming
+``t0`` ends the program.
 
 The paper's deployment model is *compile once, run many times*: a
 partitioned program is published and then executed over and over by
@@ -12,9 +18,9 @@ splits the runtime's state along an immutable/mutable line:
   the compiled fragment cache (filled on each fragment's first entry,
   so building an image compiles nothing), the per-host key material
   (HMAC keys derived exactly once per registry — the reuse contract of
-  :func:`~repro.runtime.executor.run_split_program`), per-host entry
-  tables and invoker ACLs, initial field values, and the precomputed
-  results of the per-variable forward integrity checks (Figure 6's
+  :func:`run_split_program`), per-host entry tables and invoker ACLs,
+  initial field values, and the precomputed results of the
+  per-variable forward integrity checks (Figure 6's
   ``I_src ⊑ I(L_var)`` is static per split, so sessions answer it with
   a set lookup instead of a lattice operation).
 
@@ -23,27 +29,21 @@ splits the runtime's state along an immutable/mutable line:
   per-host frames, field/array stores, ICS slices, token factories,
   idempotency tables, deferred forwards, and checkpoint WALs.  Each
   session's simulated clock and trace are fully isolated; interleaving
-  sessions cannot change any session's observables.
+  sessions (:meth:`Session.start` / :meth:`Session.step`) cannot change
+  any session's observables.
 
 * :class:`SessionPool` — recycles sessions by **reset-in-place**:
   :meth:`Session.reset` clears the mutable state rather than
   reconstructing hosts and network, so the steady-state cost of a
   pooled run is the run itself.
 
-* :class:`MultiSessionDriver` — interleaves many concurrent sessions
-  over one shared image, one control message at a time, measuring
-  per-session wall-clock latency.
-
-``DistributedExecutor`` remains the public single-run API; it is now a
-thin :class:`Session` subclass that builds (or reuses) the image for
-its split, so every existing call site gets artifact sharing for free.
+:func:`run_split_program` is the one-call helper: one session over the
+split's shared image, run to completion.
 """
 
 from __future__ import annotations
 
-import gc
-import time
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..labels import Label
 from ..splitter.fragments import Fragment, SplitProgram
@@ -189,8 +189,8 @@ class RuntimeImage:
     """The immutable per-(split, registry) runtime artifacts.
 
     Built once, shared by arbitrarily many sessions (and by every
-    :class:`~repro.runtime.executor.DistributedExecutor` over the same
-    split): nothing in here is ever mutated by a run.  Sharing is also
+    :func:`run_split_program` call over the same split): nothing in
+    here is ever mutated by a run.  Sharing is also
     the key-reuse contract — the registry's HMAC keys are derived once
     per image, not once per run.
     """
@@ -289,9 +289,8 @@ class RuntimeImage:
 class Session:
     """One run's mutable state over a shared :class:`RuntimeImage`.
 
-    Drives the same control loop the executor always ran, but exposes
-    it step-wise (:meth:`start` / :meth:`step`) so a driver can
-    interleave many concurrent sessions, and supports
+    Drives the control loop step-wise (:meth:`start` / :meth:`step`)
+    so a caller can interleave many concurrent sessions, and supports
     :meth:`reset`-in-place so a pool can recycle it without
     reconstructing hosts or network.
     """
@@ -306,7 +305,6 @@ class Session:
         quarantine: bool = False,
         checkpoint_interval: int = 4,
         storage=None,
-        record_logs: bool = True,
     ) -> None:
         self.image = image
         self.split = image.split
@@ -316,12 +314,6 @@ class Session:
         #: raises SecurityAbort and blacklists the offender instead of
         #: being silently ignored.
         self.network.quarantine_enabled = quarantine
-        #: ``record_logs=False`` runs the lean hot path: per-message and
-        #: per-flow trace events are never constructed (the observables
-        #: — counts, clock, ICS depths — don't depend on them).  The
-        #: throughput driver's sessions run lean; attaching a Tracer
-        #: switches recording back on.
-        self.network.record_logs = record_logs
         #: the optional durable tier (a :class:`~repro.runtime.storage.
         #: sqlite_backend.SessionStorage`); ``None`` consults the
         #: ``REPRO_STORAGE`` environment default.
@@ -390,7 +382,6 @@ class Session:
         quarantine: bool = False,
         checkpoint_interval: int = 4,
         storage=_KEEP,
-        record_logs: bool = True,
     ) -> "Session":
         """Reset-in-place back to a fresh session over the same image.
 
@@ -429,7 +420,6 @@ class Session:
         if cost_model is not None:
             self.network.cost = cost_model
         self.network.quarantine_enabled = quarantine
-        self.network.record_logs = record_logs
         for host in self.hosts.values():
             # Hosts whose durable store still points at `storage`
             # recycle their persisted rows in place here.
@@ -590,113 +580,36 @@ class SessionPool:
         return len(self._free)
 
 
-class MultiSessionDriver:
-    """Interleaves many concurrent sessions over shared images.
+def run_split_program(
+    split: SplitProgram,
+    cost_model: Optional[CostModel] = None,
+    opt_level: int = 1,
+    faults: Optional[FaultInjector] = None,
+    token_rng=None,
+    quarantine: bool = False,
+    storage=None,
+) -> ExecutionResult:
+    """Execute a split program as one :class:`Session` and return the
+    result (whose ``hosts``/``network`` stay readable after the run).
 
-    Keeps up to ``concurrency`` sessions in flight, delivering one
-    control message to each in round-robin order — the single-threaded
-    analogue of a server multiplexing requests — and records each
-    session's wall-clock latency and invariant observables.  Every
-    session's simulated clock, trace, and state are isolated in its own
-    :class:`Session`, so interleaving is observably identical to
-    running the sessions back to back.
+    With ``faults`` set, the run either completes with the fault-free
+    result or raises :class:`~repro.runtime.network.DeliveryTimeoutError`
+    (fail closed) — never a wrong answer.  With ``quarantine`` set, a
+    detected protocol violation raises
+    :class:`~repro.runtime.network.SecurityAbort` instead of stalling.
 
-    ``image`` may be a single :class:`RuntimeImage` or a list of them:
-    with several images the driver serves a *mixed* program set — a
-    multi-program gateway — launching sessions round-robin across the
-    images.  Each image gets its own :class:`SessionPool`, so recycled
-    state (frames, dedup tables, quarantine sets) can never migrate
-    between programs: a session is only ever reset back into the pool
-    of the image that built it.
-
-    Driver sessions default to ``record_logs=False`` (the lean hot
-    path): the driver measures observables — counts, simulated clock,
-    ICS depths — which never depend on the per-message event logs, and
-    no collector is attached.  Pass ``record_logs=True`` to keep full
-    logs, or attach a Tracer to an individual session.
+    **Key-reuse contract.** Every call over the same split shares that
+    split's memoized :class:`RuntimeImage`, including its
+    :class:`~repro.trust.KeyRegistry`: per-host HMAC keys are derived
+    once per image, not once per call.  This is safe because keys never
+    appear in any observable — tokens are minted fresh per session
+    (nonces come from ``token_rng``/``os.urandom``), and nothing
+    outlives the session that minted it.  A caller that *wants* distinct
+    key material (e.g. to model key rotation) builds its own
+    ``RuntimeImage(split, registry)`` and runs a :class:`Session` on it.
     """
-
-    def __init__(
-        self,
-        image,
-        concurrency: int = 32,
-        pool: Optional[SessionPool] = None,
-        **session_opts,
-    ) -> None:
-        self.concurrency = max(1, concurrency)
-        session_opts.setdefault("record_logs", False)
-        images = list(image) if isinstance(image, (list, tuple)) else [image]
-        if pool is not None:
-            self.pools = [pool]
-            self.images = [pool.image]
-        else:
-            size = max(1, min(self.concurrency, 8) // len(images))
-            self.pools = [
-                SessionPool(img, size=size, **session_opts) for img in images
-            ]
-            self.images = images
-        #: back-compat alias: the first (often only) pool.
-        self.pool = self.pools[0]
-
-    def run_many(
-        self,
-        count: int,
-        observer: Optional[Callable[[Session], Any]] = None,
-    ) -> List[Dict[str, Any]]:
-        """Drive ``count`` sessions to completion; returns one record
-        per session (in completion order): its wall-clock ``latency``
-        plus :meth:`Session.observables`.  With a mixed image set the
-        launches rotate across the images (session ``i`` comes from
-        image ``i % len(images)``).  ``observer`` (if given) runs on
-        each completed session *before* it is recycled — the hook the
-        harness uses to check invariants against the solo oracle; use
-        ``session.image`` to tell the programs apart.
-
-        The cyclic garbage collector is paused for the duration of the
-        drive (a standard serving-loop optimization: session recycling
-        churns almost exclusively acyclic, refcounted objects, and a
-        mid-drive gen-2 sweep is a latency spike for whichever session
-        it lands on).  Cycles created during a drive are bounded by the
-        drive and collected at the next normal threshold after GC is
-        re-enabled.
-        """
-        perf = time.perf_counter
-        pools = self.pools
-        pause_gc = gc.isenabled()
-        active: List[Tuple[Session, float, SessionPool]] = []
-        records: List[Dict[str, Any]] = []
-        launched = 0
-
-        def finish(session: Session, started_at: float, pool: SessionPool) -> None:
-            record = session.observables()
-            record["latency"] = perf() - started_at
-            if observer is not None:
-                observer(session)
-            records.append(record)
-            pool.release(session)
-
-        if pause_gc:
-            gc.disable()
-        try:
-            while launched < count or active:
-                while launched < count and len(active) < self.concurrency:
-                    pool = pools[launched % len(pools)]
-                    session = pool.acquire()
-                    started_at = perf()
-                    launched += 1
-                    if session.start():
-                        finish(session, started_at, pool)
-                    else:
-                        active.append((session, started_at, pool))
-                # One delivery per in-flight session, oldest first.
-                still_running: List[Tuple[Session, float, SessionPool]] = []
-                for session, started_at, pool in active:
-                    if session.step():
-                        finish(session, started_at, pool)
-                    else:
-                        still_running.append((session, started_at, pool))
-                active = still_running
-        finally:
-            if pause_gc:
-                gc.enable()
-        return records
+    return Session(
+        RuntimeImage.for_split(split), cost_model=cost_model,
+        opt_level=opt_level, faults=faults, token_rng=token_rng,
+        quarantine=quarantine, storage=storage,
+    ).run()

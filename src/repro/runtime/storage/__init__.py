@@ -20,7 +20,6 @@ from .base import (
     TransientStorageError,
 )
 from .codec import DecodeContext, StorageCodecError, advance_id_floors
-from .memory import MemoryBackend
 from .sqlite_backend import (
     SessionStorage,
     SQLiteBackend,
@@ -32,7 +31,6 @@ from .sqlite_backend import (
 __all__ = [
     "DecodeContext",
     "DurabilityStats",
-    "MemoryBackend",
     "STATS",
     "SQLiteBackend",
     "SessionStorage",

@@ -1,10 +1,10 @@
 """Execution tracing: an event log of a distributed run.
 
-Attach a :class:`Tracer` to a :class:`DistributedExecutor` and every
-fragment execution and control transfer is recorded — enough to replay
-the Figure 4 walkthrough ("T sync's e2 ... passes t1 to e5 on B via
-rgoto; there, Bob's host computes n and returns control via lgoto")
-as a checked sequence of events.
+Attach a :class:`Tracer` to a :class:`~repro.runtime.session.Session`
+and every fragment execution and control transfer is recorded — enough
+to replay the Figure 4 walkthrough ("T sync's e2 ... passes t1 to e5 on
+B via rgoto; there, Bob's host computes n and returns control via
+lgoto") as a checked sequence of events.
 
 Under fault injection the timeline also carries the reliability layer's
 events: ``drop``, ``retry``, ``duplicate``, ``reorder``, ``crash``,
@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .executor import DistributedExecutor
 from .network import SimNetwork
+from .session import RuntimeImage, Session
 
 
 class TraceEvent:
@@ -52,14 +52,11 @@ class TraceEvent:
 class Tracer:
     """Wraps a network's send paths to record an event timeline."""
 
-    def __init__(self, executor: DistributedExecutor) -> None:
+    def __init__(self, session: Session) -> None:
         self.events: List[TraceEvent] = []
-        self._install(executor.network)
+        self._install(session.network)
 
     def _install(self, network: SimNetwork) -> None:
-        # A collector is now attached: switch full event recording back
-        # on in case this network was running the lean (no-log) path.
-        network.record_logs = True
         original_account = network._account
 
         def traced_account(message, messages):
@@ -108,7 +105,9 @@ class Tracer:
 
 def traced_run(split, opt_level: int = 1, faults=None):
     """Run a split program with tracing; returns (outcome, tracer)."""
-    executor = DistributedExecutor(split, opt_level=opt_level, faults=faults)
-    tracer = Tracer(executor)
-    outcome = executor.run()
+    session = Session(
+        RuntimeImage.for_split(split), opt_level=opt_level, faults=faults
+    )
+    tracer = Tracer(session)
+    outcome = session.run()
     return outcome, tracer

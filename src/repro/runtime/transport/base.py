@@ -16,7 +16,7 @@ per-process TCP backend in :mod:`repro.runtime.transport.tcp` — share:
 * the abstract delivery surface a :class:`~repro.runtime.host.
   TrustedHost` programs against: ``request`` (synchronous round trip),
   ``one_way`` (single acknowledged message), ``post`` (queue a control
-  transfer), ``pop_control`` (the executor loop's feed), ``register``
+  transfer), ``pop_control`` (the session loop's feed), ``register``
   (handler + crash/restart hooks).
 
 The accounting lives in the base class on purpose: the simulated and
@@ -121,7 +121,7 @@ class SecurityAbort(RuntimeError):
 
     Raised by the quarantine layer (Section 3.2's threat model: a bad
     host gains nothing, and good hosts stop talking to it) instead of
-    letting a rejected request silently stall the executor.  Carries
+    letting a rejected request silently stall the session.  Carries
     the offending host (``None`` when the violation is local, e.g.
     tampered stable storage discovered during recovery), the host that
     detected it, and — when the violation is tied to a specific
@@ -185,14 +185,6 @@ class Transport:
         self.audit_log: List[str] = []
         #: (label, host) pairs: data with this label became visible to host.
         self.flow_log: List = []
-        #: whether to retain per-message/per-flow event objects.  The
-        #: logs exist for collectors — the security-assurance checks and
-        #: the tracer — not for the run's observables (counts, clock, ICS
-        #: depths), so a throughput driver with no collector attached
-        #: turns this off and skips building the trace events entirely.
-        #: Attaching a :class:`~repro.runtime.trace.Tracer` switches it
-        #: back on.
-        self.record_logs = True
         #: fault injector; ``None`` on backends (or runs) without one.
         #: Hosts consult this to decide whether to materialize durable
         #: stores, so every Transport exposes it.
@@ -235,7 +227,7 @@ class Transport:
         raise NotImplementedError
 
     def post(self, message: Message) -> None:
-        """Queue a control transfer (rgoto/lgoto) for the executor loop."""
+        """Queue a control transfer (rgoto/lgoto) for the session loop."""
         raise NotImplementedError
 
     # -- control queue ---------------------------------------------------------
@@ -252,10 +244,8 @@ class Transport:
     def reset_run_state(self) -> None:
         """Clear every piece of shared per-run state: clock, counts,
         logs, channel sequence numbers, the idempotency-key counter, the
-        control queue, fault events, event listeners, the quarantine
-        set, and the log-recording flag (a session recycled out of a
-        lean-logging run must come back with recording on, the
-        freshly-constructed default).  Also uninstalls any
+        control queue, fault events, event listeners, and the
+        quarantine set.  Also uninstalls any
         instance-level ``_account`` override (the tracer patches one
         in), so a previously traced session stops tracing when recycled.
         """
@@ -267,7 +257,6 @@ class Transport:
         self.message_log.clear()
         self.audit_log.clear()
         self.flow_log.clear()
-        self.record_logs = True
         self.fault_events.clear()
         self.fault_counts.clear()
         self._listeners.clear()
@@ -285,8 +274,7 @@ class Transport:
         self.counts["messages"] += messages
         if message.src != message.dst:
             self.clock += messages * self.cost.one_way_latency
-        if self.record_logs:
-            self.message_log.append(message)
+        self.message_log.append(message)
 
     def charge_check(self) -> None:
         self.clock += self.cost.check_cost
@@ -307,8 +295,7 @@ class Transport:
 
     def flow(self, label, host: str) -> None:
         """Record that data labeled ``label`` became visible to ``host``."""
-        if self.record_logs:
-            self.flow_log.append((label, host))
+        self.flow_log.append((label, host))
 
     # -- quarantine --------------------------------------------------------------
 

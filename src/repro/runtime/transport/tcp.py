@@ -64,7 +64,6 @@ import signal
 import socket
 import struct
 import time
-import traceback
 from collections import Counter, deque
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -851,8 +850,15 @@ def run_split_over_tcp(
                         index, name, listeners, addr_map, image,
                         opt_level, cost_model,
                     )
-                except BaseException:
-                    traceback.print_exc()
+                except BaseException as error:
+                    # One line in the CLI error contract, written
+                    # straight to fd 2: os._exit skips buffer flushes.
+                    detail = f"{name}: {type(error).__name__}: {error}"
+                    line = json.dumps(
+                        {"error": "internal", "detail": detail},
+                        separators=(", ", ": "),
+                    )
+                    os.write(2, f"error: {line}\n".encode())
                     status = 70
                 finally:
                     os._exit(status)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import os
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from ..labels import (
     ConfLabel,
@@ -31,13 +31,6 @@ from ..labels import (
 
 class TrustError(Exception):
     """An inconsistent, unsigned, or forged trust declaration."""
-
-
-#: Entry cap on the (key, message) → MAC memo.  A session run mints a
-#: handful of tokens, so thousands of entries cover many interleaved
-#: sessions; on overflow the memo is simply cleared (correctness never
-#: depends on a hit, only speed does).
-_MAC_MEMO_LIMIT = 8192
 
 
 class KeyRegistry:
@@ -58,19 +51,6 @@ class KeyRegistry:
         #: registry lifetime — which a shared RuntimeImage stretches
         #: across every session run over the same split program.
         self._bases: Dict[str, "hmac.HMAC"] = {}
-        #: memoized (key name, message) → MAC.  In the fault-free hot
-        #: path every capability token is minted and then verified
-        #: exactly once over the identical bytes, so ``verify`` can
-        #: compare against the MAC ``sign`` already computed instead of
-        #: recomputing it.  The memo holds only *correct* MACs produced
-        #: under this registry's keys, so the verdict is bit-identical
-        #: to a recompute: a forged signature still mismatches the true
-        #: MAC, and replay rejection lives in the ICS, not here.  The
-        #: registry rides on the shared RuntimeImage, so the memo batches
-        #: verification across every session interleaved over the image.
-        #: ``benchmarks/test_token_micro.py`` holds every verdict to an
-        #: independently recomputed HMAC.
-        self._mac_memo: Dict[Tuple[str, bytes], bytes] = {}
 
     def register(self, name: str) -> None:
         if name not in self._keys:
@@ -82,7 +62,6 @@ class KeyRegistry:
         sidecar rather than drawing fresh randomness)."""
         self._keys[name] = bytes(key)
         self._bases.pop(name, None)
-        self._mac_memo.clear()
 
     def key_of(self, name: str) -> bytes:
         if name not in self._keys:
@@ -90,10 +69,6 @@ class KeyRegistry:
         return self._keys[name]
 
     def sign(self, name: str, message: bytes) -> bytes:
-        memo_key = (name, message)
-        mac = self._mac_memo.get(memo_key)
-        if mac is not None:
-            return mac
         base = self._bases.get(name)
         if base is None:
             base = self._bases[name] = hmac.new(
@@ -101,15 +76,13 @@ class KeyRegistry:
             )
         digest = base.copy()
         digest.update(message)
-        mac = digest.digest()
-        if len(self._mac_memo) >= _MAC_MEMO_LIMIT:
-            self._mac_memo.clear()
-        self._mac_memo[memo_key] = mac
-        return mac
+        return digest.digest()
 
     def verify(self, name: str, message: bytes, signature: bytes) -> bool:
-        expected = self.sign(name, message)
-        return hmac.compare_digest(expected, signature)
+        """Recompute the MAC and compare in constant time.  Replay
+        rejection is not a MAC question: a token verifies as often as it
+        is presented, and the ICS's one-shot pop refuses the second use."""
+        return hmac.compare_digest(self.sign(name, message), signature)
 
 
 class TrustDeclaration:

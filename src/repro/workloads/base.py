@@ -9,8 +9,12 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from ..runtime import CostModel, DistributedExecutor, run_single_host
-from ..runtime.executor import ExecutionResult
+from ..runtime import (
+    CostModel,
+    ExecutionResult,
+    run_single_host,
+    run_split_program,
+)
 from ..splitter import SplitResult, split_source
 from ..trust import TrustConfiguration
 
@@ -110,10 +114,9 @@ def run_workload(
 ) -> WorkloadResult:
     """Split and execute one workload."""
     split_result = split_source(source, config)
-    executor = DistributedExecutor(
+    execution = run_split_program(
         split_result.split, cost_model=cost_model, opt_level=opt_level
     )
-    execution = executor.run()
     return WorkloadResult(name, source, split_result, execution)
 
 

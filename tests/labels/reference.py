@@ -1,13 +1,15 @@
 """Pristine, uncached reference implementations of the lattice ops.
 
-The production operations in :mod:`.labels` and :mod:`.principals` are
-memoized (keyed by interned-object identity and the hierarchy version
-stamp) and algebraically restructured (:func:`~.labels.join_all` and
-:func:`~.labels.meet_all` accumulate in a single pass).  This module
-recomputes every operation from first-principles set algebra on every
-call — no memo tables, no identity shortcuts, no single-pass fusion —
-so the differential tests in ``tests/labels/test_lattice_differential.py``
-can hold the optimized operations equal to the definitions.
+The production operations in :mod:`repro.labels.labels` and
+:mod:`repro.labels.principals` are memoized (keyed by interned-object
+identity and the hierarchy version stamp) and algebraically
+restructured (:func:`~repro.labels.labels.join_all` and
+:func:`~repro.labels.labels.meet_all` accumulate in a single pass).
+This module recomputes every operation from first-principles set
+algebra on every call — no memo tables, no identity shortcuts, no
+single-pass fusion — so the differential tests in
+``test_lattice_differential.py`` can hold the optimized operations
+equal to the definitions.
 
 These functions still *return* interned labels (construction is how the
 model builds labels at all); what they never do is consult or populate
@@ -20,8 +22,8 @@ from __future__ import annotations
 from functools import reduce
 from typing import FrozenSet, Iterable, List
 
-from .labels import ConfLabel, ConfPolicy, IntegLabel, Label
-from .principals import ActsForHierarchy, Principal
+from repro.labels.labels import ConfLabel, ConfPolicy, IntegLabel, Label
+from repro.labels.principals import ActsForHierarchy, Principal
 
 # ----------------------------------------------------------------------
 # Acts-for (reflexive transitive closure, recomputed per query)

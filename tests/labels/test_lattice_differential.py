@@ -1,7 +1,7 @@
 """Differential tests: memoized lattice ops ≡ pristine reference.
 
 The production operations (``repro.labels.labels``) are interned,
-memoized, and algebraically fused; ``repro.labels.reference``
+memoized, and algebraically fused; ``tests/labels/reference.py``
 recomputes everything from set algebra on every call.  These tests hold
 the two equal over seeded random labels and hierarchies, and check the
 lattice laws the splitter's soundness rests on.
@@ -19,9 +19,10 @@ from repro.labels import (
     Principal,
     principals,
 )
-from repro.labels import reference
 from repro.labels.cache import clear_all
 from repro.labels.principals import ActsForHierarchy
+
+from tests.labels import reference
 
 POOL = principals("Alice", "Bob", "Carol", "Dave", "Eve")
 

@@ -5,7 +5,7 @@ lexer it replaced, over the full benchmark corpus.
 The reference implementation below is a faithful copy of the previous
 ``lang/lexer.py`` scanner (one big named-group regex, ``lastgroup``
 dispatch), kept here as the oracle — the same pattern as the uncached
-label-lattice oracle in ``repro/labels/reference.py``.  The only
+label-lattice oracle in ``tests/labels/reference.py``.  The only
 intentional divergence is non-ASCII input: the old ``name`` alternative
 ``[^\\W\\d]\\w*`` accepted Unicode identifiers the documented token set
 excludes, and the new scanner rejects them (covered separately in

@@ -11,7 +11,7 @@ stores.
 import pytest
 
 from repro import progen
-from repro.runtime import DistributedExecutor
+from repro.runtime import RuntimeImage, Session
 from repro.runtime.compiler import compile_split
 from repro.splitter import split_source
 from repro.workloads import listcompare, medical, ot, tax, work
@@ -75,10 +75,10 @@ def observables(outcome):
 def run_both(source, config, monkeypatch):
     """One split, executed compiled and by the reference interpreter."""
     result = split_source(source, config)
-    compiled = DistributedExecutor(result.split).run()
+    compiled = Session(RuntimeImage.for_split(result.split)).run()
     with monkeypatch.context() as patch:
         interpreter.install(patch)
-        interpreted = DistributedExecutor(result.split).run()
+        interpreted = Session(RuntimeImage.for_split(result.split)).run()
     return observables(compiled), observables(interpreted)
 
 
@@ -116,7 +116,7 @@ class TestGeneratedPrograms:
         compiled against compiled."""
         result = split_source(OT_SOURCE, config_abt())
         interpreter.install(monkeypatch)
-        DistributedExecutor(result.split).run()
+        Session(RuntimeImage.for_split(result.split)).run()
         assert compile_split(result.split) == {}
 
     def test_production_compiles_every_executed_entry(self, monkeypatch):
@@ -134,9 +134,9 @@ class TestGeneratedPrograms:
             interpreter.install(patch)
             patch.setattr(interpreter, "run_terminator", recording)
             oracle = split_source(medical.source(), medical.config())
-            DistributedExecutor(oracle.split).run()
+            Session(RuntimeImage.for_split(oracle.split)).run()
         result = split_source(medical.source(), medical.config())
         assert compile_split(result.split) == {}
-        DistributedExecutor(result.split).run()
+        Session(RuntimeImage.for_split(result.split)).run()
         assert executed
         assert set(compile_split(result.split)) == executed

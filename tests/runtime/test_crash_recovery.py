@@ -15,11 +15,12 @@ import pytest
 from repro.runtime import (
     CrashPointInjector,
     DeliveryTimeoutError,
-    DistributedExecutor,
     FaultInjector,
     FaultPolicy,
     RetryPolicy,
+    RuntimeImage,
     SecurityAbort,
+    Session,
     run_split_program,
 )
 from repro.runtime.checkpoint import (
@@ -178,14 +179,14 @@ class TestRetryBounds:
                         crashable_hosts=("B",)),
             seed=0,
         )
-        executor = DistributedExecutor(result.split, faults=faults)
-        executor.network.retry = RetryPolicy(
+        session = Session(RuntimeImage.for_split(result.split), faults=faults)
+        session.network.retry = RetryPolicy(
             base_timeout=1e-3, max_timeout=4e-3, deadline=0.02,
             max_retries=10_000,
         )
         with pytest.raises(DeliveryTimeoutError):
-            executor.run()
-        assert executor.network.clock < 1.0
+            session.run()
+        assert session.network.clock < 1.0
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +201,7 @@ class TestCrashPointSweeps:
     def test_volatile_crashes_recover_bit_identical(self, name, source, config):
         result = split_source(source, config)
         report = crash_point_sweep(
-            result.split, per_point=2, crash_mode="volatile", name=name
+            result.split, per_point=2, name=name
         )
         assert report.points, "sweep enumerated no crash points"
         assert report.failures == []
@@ -209,19 +210,8 @@ class TestCrashPointSweeps:
     def test_ot_exhaustive_every_receipt(self):
         """Every single receipt boundary of the Figure 4 OT run."""
         result = split_source(ot.source(rounds=1), ot.config())
-        report = crash_point_sweep(
-            result.split, per_point=None, crash_mode="volatile"
-        )
+        report = crash_point_sweep(result.split, per_point=None)
         assert len(report.points) >= 10
-        assert report.failures == []
-
-    def test_durable_mode_still_recovers(self):
-        """The legacy state-survives-restart model keeps working."""
-        result = split_source(ot.source(rounds=1), ot.config())
-        report = crash_point_sweep(
-            result.split, per_point=2, crash_mode="durable"
-        )
-        assert report.points
         assert report.failures == []
 
 
@@ -272,9 +262,9 @@ class TestQuarantine:
         from repro.runtime import Message
 
         result = split_source(ot.source(rounds=1), ot.config())
-        executor = DistributedExecutor(result.split, quarantine=True)
-        executor.run()
-        network = executor.network
+        session = Session(RuntimeImage.for_split(result.split), quarantine=True)
+        session.run()
+        network = session.network
         with pytest.raises(SecurityAbort):
             network.quarantine("B", "A", "test")
         assert "B" in network.quarantined

@@ -7,7 +7,7 @@ reference interpreter in ``tests/runtime/interpreter.py``.
 
 import pytest
 
-from repro.runtime import DistributedExecutor, FrameID
+from repro.runtime import FrameID, RuntimeImage, Session
 from repro.runtime.compiler import compile_expr
 from repro.splitter import ir, split_source
 
@@ -18,8 +18,8 @@ from tests.runtime import interpreter
 @pytest.fixture(scope="module")
 def host():
     result = split_source(SIMPLE_SOURCE, single_host_config())
-    executor = DistributedExecutor(result.split)
-    return executor.host("H")
+    session = Session(RuntimeImage.for_split(result.split))
+    return session.hosts["H"]
 
 
 @pytest.fixture

@@ -3,11 +3,7 @@ exactly what the single-host reference interpreter computes."""
 
 import pytest
 
-from repro.runtime import (
-    DistributedExecutor,
-    run_single_host,
-    run_split_program,
-)
+from repro.runtime import run_single_host, run_split_program
 from repro.splitter import split_source
 
 from tests.programs import (

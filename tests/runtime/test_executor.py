@@ -1,10 +1,17 @@
-"""Tests for the distributed executor itself: lifecycle, determinism,
+"""Tests for running a split as one session: lifecycle, determinism,
 and its failure modes."""
 
 import pytest
 
-from repro.runtime import DistributedExecutor, run_split_program
+from repro.runtime import (
+    RuntimeImage,
+    Session,
+    SimNetwork,
+    TrustedHost,
+    run_split_program,
+)
 from repro.splitter import split_source
+from repro.trust import KeyRegistry
 
 from tests.programs import OT_SOURCE, SIMPLE_SOURCE, config_abt, single_host_config
 
@@ -12,13 +19,13 @@ from tests.programs import OT_SOURCE, SIMPLE_SOURCE, config_abt, single_host_con
 class TestLifecycle:
     def test_run_returns_result(self):
         result = split_source(SIMPLE_SOURCE, single_host_config())
-        outcome = DistributedExecutor(result.split).run()
+        outcome = Session(RuntimeImage.for_split(result.split)).run()
         assert outcome.field_value("Simple", "total") == 285
 
     def test_two_executors_are_independent(self):
         result = split_source(OT_SOURCE, config_abt())
-        first = DistributedExecutor(result.split).run()
-        second = DistributedExecutor(result.split).run()
+        first = Session(RuntimeImage.for_split(result.split)).run()
+        second = Session(RuntimeImage.for_split(result.split)).run()
         assert first.counts == second.counts
         assert first.main_var("r") == second.main_var("r") == 100
 
@@ -39,11 +46,11 @@ class TestLifecycle:
 
     def test_root_capability_on_main_host(self):
         result = split_source(OT_SOURCE, config_abt())
-        executor = DistributedExecutor(result.split)
-        outcome = executor.run()
+        session = Session(RuntimeImage.for_split(result.split))
+        outcome = session.run()
         # After a complete run every local stack is empty again: all
         # capabilities were consumed (the global ICS is balanced).
-        for host in executor.hosts.values():
+        for host in session.hosts.values():
             assert host.stack.depth == 0
 
     def test_result_accessors(self):
@@ -61,31 +68,38 @@ class TestLifecycle:
 
     def test_frames_are_distributed(self):
         result = split_source(OT_SOURCE, config_abt())
-        executor = DistributedExecutor(result.split)
-        executor.run()
+        session = Session(RuntimeImage.for_split(result.split))
+        session.run()
         hosts_with_frames = [
             name
-            for name, host in executor.hosts.items()
+            for name, host in session.hosts.items()
             if host.frames
         ]
         assert len(hosts_with_frames) >= 2
+
+    def test_host_is_built_only_from_an_image(self):
+        """A host's entry tables, ACLs, field defaults and forward checks
+        come from the shared image; there is no standalone build."""
+        result = split_source(OT_SOURCE, config_abt())
+        with pytest.raises(TypeError):
+            TrustedHost("A", result.split, SimNetwork(), KeyRegistry())
 
 
 class TestFailureModes:
     def test_stall_detected(self):
         """If no control message is pending and the program has not
-        halted, the executor reports a stall instead of hanging."""
+        halted, the session reports a stall instead of hanging."""
         from repro.splitter import TermJump
 
         result = split_source(OT_SOURCE, config_abt())
-        executor = DistributedExecutor(result.split)
+        session = Session(RuntimeImage.for_split(result.split))
         # Sabotage: empty the main entry's plan so control goes nowhere.
         main_fragment = result.split.fragments[result.split.main_entry]
         saved = main_fragment.terminator
         try:
             main_fragment.terminator = TermJump([])
             with pytest.raises(Exception):
-                executor.run()
+                session.run()
         finally:
             main_fragment.terminator = saved
 
@@ -113,12 +127,10 @@ class TestFailureModes:
         }
         """
         result = split_source(source, single_host_config())
-        executor = DistributedExecutor(result.split)
+        session = Session(RuntimeImage.for_split(result.split))
         # Single-host infinite loop never yields control messages; bound
         # the run externally.
-        import repro.runtime.executor as executor_module
-
-        host = executor.hosts["H"]
+        host = session.hosts["H"]
         original = host.network.charge_ops
         calls = {"n": 0}
 
@@ -130,4 +142,4 @@ class TestFailureModes:
 
         host.network.charge_ops = counting
         with pytest.raises(RuntimeError):
-            executor.run()
+            session.run()

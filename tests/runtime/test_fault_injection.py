@@ -14,12 +14,13 @@ import pytest
 from repro.runtime import (
     CostModel,
     DeliveryTimeoutError,
-    DistributedExecutor,
     FaultInjector,
     FaultPolicy,
     FrameID,
     Message,
     RetryPolicy,
+    RuntimeImage,
+    Session,
     SimNetwork,
     TokenFactory,
     run_split_program,
@@ -189,9 +190,9 @@ class TestReliableDelivery:
 
 
 class TestIdempotentHosts:
-    def _executor(self, **kwargs):
+    def _session(self, **kwargs):
         result = split_source(OT_SOURCE, config_abt())
-        return result.split, DistributedExecutor(result.split, **kwargs)
+        return result.split, Session(RuntimeImage.for_split(result.split), **kwargs)
 
     def _find_remote_entry(self, split):
         """(server_host, client_host, entry) with client in the ACL."""
@@ -202,9 +203,9 @@ class TestIdempotentHosts:
         raise AssertionError("no remotely invokable entry in the split")
 
     def test_retransmitted_sync_mints_once(self):
-        split, executor = self._executor()
+        split, session = self._session()
         server, client, entry = self._find_remote_entry(split)
-        host = executor.hosts[server]
+        host = session.hosts[server]
         frame = FrameID(split.fragments[entry].method_key)
         message = Message(
             "sync", client, server,
@@ -230,9 +231,9 @@ class TestIdempotentHosts:
 
     def test_duplicated_lgoto_not_accepted_twice(self):
         """A re-delivered lgoto must consume its capability only once."""
-        split, executor = self._executor()
+        split, session = self._session()
         server, client, entry = self._find_remote_entry(split)
-        host = executor.hosts[server]
+        host = session.hosts[server]
         frame = FrameID(split.fragments[entry].method_key)
         sync = Message(
             "sync", client, server,
@@ -255,7 +256,7 @@ class TestIdempotentHosts:
         with pytest.raises(HaltSignal):
             host.handle(lgoto)
         assert host.stack.depth == 0
-        audits_after_first = list(executor.network.audit_log)
+        audits_after_first = list(session.network.audit_log)
         # Replay the very same message (same msg_id): the halting pop
         # was never cached, so it falls through to the Figure 6 checks —
         # the one-shot discipline rejects it; the stack stays popped.
@@ -263,7 +264,7 @@ class TestIdempotentHosts:
         assert host.stack.depth == 0
         assert any(
             "stale/replayed" in entry_
-            for entry_ in executor.network.audit_log[len(audits_after_first):]
+            for entry_ in session.network.audit_log[len(audits_after_first):]
         )
         # And a replay under a fresh msg_id is rejected the same way.
         replay = Message(
@@ -276,9 +277,9 @@ class TestIdempotentHosts:
 
     def test_duplicated_nonroot_lgoto_suppressed_by_msg_id(self):
         """With a cached (non-halting) result, the duplicate is a no-op."""
-        split, executor = self._executor()
+        split, session = self._session()
         server, client, entry = self._find_remote_entry(split)
-        host = executor.hosts[server]
+        host = session.hosts[server]
         frame = FrameID(split.fragments[entry].method_key)
         # Two syncs: the second token's saved "previous" is the first,
         # so consuming the second does NOT halt and the result is cached.
@@ -302,10 +303,10 @@ class TestIdempotentHosts:
         )
         host.handle(lgoto)
         depth_after = host.stack.depth
-        audits_after = list(executor.network.audit_log)
+        audits_after = list(session.network.audit_log)
         host.handle(lgoto)  # duplicate: answered from the idempotency table
         assert host.stack.depth == depth_after
-        assert executor.network.audit_log == audits_after
+        assert session.network.audit_log == audits_after
 
     def test_full_run_with_every_message_duplicated(self):
         result = split_source(OT_SOURCE, config_abt())

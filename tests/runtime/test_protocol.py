@@ -3,7 +3,7 @@ row of the table — rgoto, lgoto, sync — with its exact check."""
 
 import pytest
 
-from repro.runtime import DistributedExecutor, FrameID
+from repro.runtime import FrameID, RuntimeImage, Session
 from repro.runtime.host import _REJECTED
 from repro.runtime.network import Message
 from repro.splitter import split_source
@@ -14,8 +14,8 @@ from tests.programs import OT_SOURCE, config_abt
 @pytest.fixture
 def setup():
     result = split_source(OT_SOURCE, config_abt())
-    executor = DistributedExecutor(result.split)
-    return result.split, executor
+    session = Session(RuntimeImage.for_split(result.split))
+    return result.split, session
 
 
 def payload(split, **kwargs):
@@ -28,8 +28,8 @@ class TestSyncRow:
     """sync(h, f, e, t): if I_i ⊑ I_e, mint nt, push (nt, t), send nt."""
 
     def test_authorized_sync_returns_fresh_token(self, setup):
-        split, executor = setup
-        host_a = executor.host("A")
+        split, session = setup
+        host_a = session.hosts["A"]
         entry = next(f.entry for f in split.fragments_on("A"))
         frame = FrameID(("OTExample", "main"))
         token = host_a.handle(
@@ -42,8 +42,8 @@ class TestSyncRow:
         assert host_a.stack.top()[0] == token
 
     def test_unauthorized_sync_ignored(self, setup):
-        split, executor = setup
-        host_a = executor.host("A")
+        split, session = setup
+        host_a = session.hosts["A"]
         entry = next(f.entry for f in split.fragments_on("A"))
         frame = FrameID(("OTExample", "main"))
         result = host_a.handle(
@@ -54,8 +54,8 @@ class TestSyncRow:
         assert host_a.stack.depth == 0
 
     def test_sync_unknown_entry_ignored(self, setup):
-        split, executor = setup
-        host_a = executor.host("A")
+        split, session = setup
+        host_a = session.hosts["A"]
         result = host_a.handle(
             Message("sync", "T", "A",
                     payload(split, entry="no.such.entry@A",
@@ -69,8 +69,8 @@ class TestLgotoRow:
     """lgoto(t): if top(s_h) == (t, t'), pop and run e(f, t'); else ignore."""
 
     def test_valid_capability_pops(self, setup):
-        split, executor = setup
-        host_t = executor.host("T")
+        split, session = setup
+        host_t = session.hosts["T"]
         # Mint a capability for T's return-like entry via a legal sync.
         entry = next(
             f.entry for f in split.fragments_on("T")
@@ -93,8 +93,8 @@ class TestLgotoRow:
         assert host_t.stack.depth == 0
 
     def test_non_top_capability_ignored(self, setup):
-        split, executor = setup
-        host_t = executor.host("T")
+        split, session = setup
+        host_t = session.hosts["T"]
         entries = [f.entry for f in split.fragments_on("T")][:2]
         frame = FrameID(("OTExample", "main"))
         token1 = host_t.handle(
@@ -115,9 +115,9 @@ class TestLgotoRow:
         assert host_t.stack.depth == 2
 
     def test_foreign_token_ignored(self, setup):
-        split, executor = setup
-        host_t = executor.host("T")
-        host_a = executor.host("A")
+        split, session = setup
+        host_t = session.hosts["T"]
+        host_a = session.hosts["A"]
         entry = next(f.entry for f in split.fragments_on("A"))
         frame = FrameID(("OTExample", "main"))
         token = host_a.handle(
@@ -134,8 +134,8 @@ class TestRgotoRow:
     """rgoto(h, f, e, t): if I_i ⊑ I_e, run e(f, t); else ignore."""
 
     def test_unauthorized_rgoto_ignored(self, setup):
-        split, executor = setup
-        host_a = executor.host("A")
+        split, session = setup
+        host_a = session.hosts["A"]
         entry = next(f.entry for f in split.fragments_on("A"))
         result = host_a.handle(
             Message("rgoto", "B", "A",
@@ -146,8 +146,8 @@ class TestRgotoRow:
         assert result is _REJECTED
 
     def test_rgoto_unknown_entry_ignored(self, setup):
-        split, executor = setup
-        host_a = executor.host("A")
+        split, session = setup
+        host_a = session.hosts["A"]
         result = host_a.handle(
             Message("rgoto", "T", "A",
                     payload(split, entry="bogus@A",
@@ -159,8 +159,8 @@ class TestRgotoRow:
 
 class TestDigestHandshake:
     def test_any_request_with_wrong_digest_ignored(self, setup):
-        split, executor = setup
-        host_a = executor.host("A")
+        split, session = setup
+        host_a = session.hosts["A"]
         for kind in ("getField", "setField", "sync", "rgoto", "lgoto",
                      "forward"):
             result = host_a.handle(
@@ -169,8 +169,8 @@ class TestDigestHandshake:
             assert result is _REJECTED, kind
 
     def test_local_messages_skip_digest_check(self, setup):
-        split, executor = setup
-        host_a = executor.host("A")
+        split, session = setup
+        host_a = session.hosts["A"]
         entry = next(f.entry for f in split.fragments_on("A"))
         # A host trusts its own memory: src == dst bypasses the check.
         token = host_a.handle(
@@ -184,8 +184,8 @@ class TestDigestHandshake:
 
 class TestFrameIsolation:
     def test_forward_applies_to_named_frame_only(self, setup):
-        split, executor = setup
-        host_t = executor.host("T")
+        split, session = setup
+        host_t = session.hosts["T"]
         frame1 = FrameID(("OTExample", "main"))
         frame2 = FrameID(("OTExample", "main"))
         host_t.handle(
@@ -196,8 +196,8 @@ class TestFrameIsolation:
         assert host_t.var(frame2, "choice") == 0  # default, untouched
 
     def test_default_values_by_base_type(self, setup):
-        split, executor = setup
-        host_t = executor.host("T")
+        split, session = setup
+        host_t = session.hosts["T"]
         frame = FrameID(("OTExample", "transfer"))
         assert host_t.var(frame, "tmp1") == 0
         main_frame = FrameID(("OTExample", "main"))

@@ -21,7 +21,6 @@ from repro.runtime import (
     DeliveryTimeoutError,
     FaultInjector,
     FaultPolicy,
-    MultiSessionDriver,
     RuntimeImage,
     SecurityAbort,
     Session,
@@ -42,7 +41,7 @@ def fingerprint(session):
 
 
 def interleave(sessions, clean):
-    """Round-robin one control message per session, like the driver.
+    """Round-robin one control message per session.
 
     A faulted session may fail closed (``DeliveryTimeoutError``) — that
     is an acceptable per-session outcome, but it must never surface on
@@ -63,6 +62,42 @@ def interleave(sessions, clean):
                     "leaked across the session boundary"
                 )
         active = still_running
+
+
+def drive(pools, count, concurrency, observer=None):
+    """Serve ``count`` pooled sessions, at most ``concurrency`` in
+    flight, delivering one control message to each in round-robin order
+    (a single-threaded server multiplexing requests).  Launches rotate
+    across ``pools`` (session ``i`` comes from ``pools[i % len]``).
+    ``observer`` sees each completed session before its pool recycles
+    it; returns every session's observables in completion order."""
+    active = []
+    records = []
+    launched = 0
+
+    def finish(session, pool):
+        records.append(session.observables())
+        if observer is not None:
+            observer(session)
+        pool.release(session)
+
+    while launched < count or active:
+        while launched < count and len(active) < concurrency:
+            pool = pools[launched % len(pools)]
+            session = pool.acquire()
+            launched += 1
+            if session.start():
+                finish(session, pool)
+            else:
+                active.append((session, pool))
+        still_running = []
+        for session, pool in active:
+            if session.step():
+                finish(session, pool)
+            else:
+                still_running.append((session, pool))
+        active = still_running
+    return records
 
 
 def test_clean_session_is_bit_identical_under_faulted_neighbours():
@@ -160,19 +195,15 @@ def test_driver_interleaving_matches_solo_oracle(name):
     want = solo_observables(split)
     assert want == REQUEST_OBSERVABLES[name]
 
-    driver = MultiSessionDriver(RuntimeImage.for_split(split), concurrency=16)
-    records = driver.run_many(40)
-    assert len(records) == 40
-    for record in records:
-        got = {key: record[key] for key in want}
-        assert got == want
-        assert record["latency"] >= 0.0
+    pool = SessionPool(RuntimeImage.for_split(split))
+    records = drive([pool], 40, concurrency=16)
+    assert records == [want] * 40
     # 40 sessions were served by at most `concurrency` session objects.
-    assert driver.pool.created <= 16
+    assert pool.created <= 16
 
 
 def test_mixed_image_driver_matches_each_solo_oracle():
-    """One driver serving heterogeneous programs: every pooled session
+    """Round-robin over heterogeneous programs: every pooled session
     must be bit-identical to the solo oracle of *its own* program."""
     splits = {
         name: split_source(source, config).split
@@ -194,16 +225,13 @@ def test_mixed_image_driver_matches_each_solo_oracle():
         )
         seen.add(name)
 
-    driver = MultiSessionDriver(list(images.values()), concurrency=12)
-    records = driver.run_many(30, observer=observer)
+    # One pool per image: a session is only ever recycled into the pool
+    # of the image that built it (``release`` asserts it), so state
+    # never migrates between programs.
+    pools = [SessionPool(image) for image in images.values()]
+    records = drive(pools, 30, concurrency=12, observer=observer)
     assert len(records) == 30
     assert seen == set(REQUEST_OBSERVABLES)
-    # One pool per image — sessions never migrate between programs —
-    # and the single-image alias still points at the first.
-    assert len(driver.pools) == len(images)
-    assert driver.pool is driver.pools[0]
-    for pool, image in zip(driver.pools, images.values()):
-        assert pool.image is image
 
 
 @pytest.mark.parametrize("owners", [2, 4, 8, 16])
@@ -215,9 +243,7 @@ def test_aggregation_messages_scale_with_owners(owners):
     ).split
     want = solo_observables(split)
     assert want["messages"]["total_messages"] == 2 * owners
-    records = MultiSessionDriver(
-        RuntimeImage.for_split(split), concurrency=4
-    ).run_many(8)
+    records = drive([SessionPool(RuntimeImage.for_split(split))], 8, 4)
     assert all(record["messages"] == want["messages"] for record in records)
 
 
@@ -240,33 +266,36 @@ def test_inert_hosts_do_not_move_ot_placement(extra):
     split = split_source(source, ot_config_with_inert_hosts(extra)).split
     want = solo_observables(split)
     assert want["messages"] == REQUEST_OBSERVABLES["OT"]["messages"]
-    records = MultiSessionDriver(
-        RuntimeImage.for_split(split), concurrency=4
-    ).run_many(8)
+    records = drive([SessionPool(RuntimeImage.for_split(split))], 8, 4)
     assert all(record["messages"] == want["messages"] for record in records)
 
 
-def test_mixed_driver_lean_logging_keeps_observables():
-    """Driver sessions skip message/flow log construction (the lean hot
-    path); the observables surface must not notice."""
+def test_round_robin_sessions_keep_solo_logs_and_observables():
+    """Interleaved pooled sessions record exactly the message and flow
+    logs of a solo run, and the same observables."""
     split = split_source(tax.source(records=3), tax.config()).split
     image = RuntimeImage.for_split(split)
-    solo = Session(image)  # solo default: logs on
+    solo = Session(image)
     solo.run()
     assert solo.network.message_log, "solo session should keep its logs"
     want = solo.observables()
 
-    driver = MultiSessionDriver(image, concurrency=4)
+    def log_shape(network):
+        return (
+            [(m.kind, m.src, m.dst) for m in network.message_log],
+            [(str(label), host) for label, host in network.flow_log],
+        )
+
+    want_logs = log_shape(solo.network)
     checked = []
 
     def observer(session):
         assert session.observables() == want
-        assert session.network.message_log == []
-        assert session.network.flow_log == []
+        assert log_shape(session.network) == want_logs
         checked.append(session)
 
-    driver.run_many(8, observer=observer)
-    assert checked
+    drive([SessionPool(image)], 8, concurrency=4, observer=observer)
+    assert len(checked) == 8
 
 
 def test_mixed_pools_quarantine_never_leaks_across_images():

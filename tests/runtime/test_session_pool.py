@@ -128,42 +128,6 @@ def test_pool_acquire_beyond_free_list_constructs_lazily():
     assert len(pool) == 2 and pool.resets == 2
 
 
-def test_recycled_session_records_logs_again_by_default():
-    """Regression: ``Transport.reset_run_state`` must restore
-    ``record_logs = True``.  A session that ran lean (a throughput
-    driver or an attached-then-removed tracer flips the flag off) used
-    to stay lean forever once recycled through a default pool — every
-    later acquirer silently lost its event log."""
-    split = split_source(work.source(rounds=2, inner=2), work.config()).split
-    image = RuntimeImage.for_split(split)
-    pool = SessionPool(image)
-    session = pool.acquire()
-    session.network.record_logs = False  # a lean run flipped the flag
-    session.run()
-    assert session.network.message_log == []
-    pool.release(session)
-    again = pool.acquire()
-    assert again is session
-    assert again.network.record_logs is True
-    again.run()
-    assert again.network.message_log, "recycled session must log again"
-
-
-def test_lean_pool_opts_still_win_over_the_reset_default():
-    """A pool built with ``record_logs=False`` re-applies that option on
-    every release: the S1 fix restores the *default*, not a blanket
-    override of the pool's configuration."""
-    split = split_source(work.source(rounds=2, inner=2), work.config()).split
-    image = RuntimeImage.for_split(split)
-    pool = SessionPool(image, record_logs=False)
-    session = pool.acquire()
-    session.run()
-    pool.release(session)
-    again = pool.acquire()
-    assert again is session
-    assert again.network.record_logs is False
-
-
 def test_pooled_runs_each_persist_under_env_storage(tmp_path, monkeypatch):
     """Under ``REPRO_STORAGE=sqlite`` a completed run discards its auto
     tier; recycling the session must create a fresh one, so every pooled

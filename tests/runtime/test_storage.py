@@ -39,8 +39,8 @@ from repro.runtime.faultsweep import storage_fault_sweep
 from repro.runtime.storage import (
     STATS,
     DecodeContext,
-    MemoryBackend,
     SessionStorage,
+    StorageBackend,
     StorageCodecError,
     StorageRetryPolicy,
     StorageUnavailableError,
@@ -190,6 +190,36 @@ class TestCodec:
 # ----------------------------------------------------------------------
 # Backend contract (reference implementation vs SQLite)
 # ----------------------------------------------------------------------
+
+
+class MemoryBackend(StorageBackend):
+    """The reference backend: the backend contract over plain dicts,
+    persisting nothing across process death."""
+
+    def __init__(self, host):
+        self.host = host
+        self._checkpoint = None
+        self._wal = {}
+
+    def append_wal(self, epoch, index, blob, seal):
+        self._wal[index] = (epoch, blob, seal)
+
+    def save_checkpoint(self, epoch, blob, seal):
+        self._checkpoint = (epoch, blob, seal)
+        self._wal.clear()
+
+    def reset_run(self):
+        self._checkpoint = None
+        self._wal.clear()
+
+    def load_checkpoint(self):
+        return self._checkpoint
+
+    def load_wal(self):
+        return [
+            (index, epoch, blob, seal)
+            for index, (epoch, blob, seal) in sorted(self._wal.items())
+        ]
 
 
 def _backends(tmp_path):

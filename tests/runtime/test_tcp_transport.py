@@ -23,6 +23,8 @@ from repro.runtime.transport.tcp import (
 from repro.splitter import split_source
 from repro.workloads import listcompare, medical, ot, tax, work
 
+from tests.programs import SIMPLE_SOURCE, single_host_config
+
 
 def _oracle(split):
     session = Session(RuntimeImage.for_split(split))
@@ -112,3 +114,26 @@ class TestTcpOracleEquality:
         # result concatenates per-host reports — compare as multisets.
         # (Fault-free runs audit nothing; equality must still hold.)
         assert sorted(result.audits) == sorted(outcome.audits)
+
+
+class TestHostProcessFailure:
+    def test_failing_host_reports_one_structured_error_line(
+        self, monkeypatch, capfd
+    ):
+        """A forked host that raises prints one line in the CLI error
+        contract to stderr, not a traceback."""
+        from repro.runtime.transport import tcp
+
+        def broken_child_main(index, name, *args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(tcp, "_child_main", broken_child_main)
+        split = split_source(SIMPLE_SOURCE, single_host_config()).split
+        with pytest.raises(OSError):
+            run_split_over_tcp(split, timeout=2.0)
+        err = capfd.readouterr().err
+        assert "Traceback" not in err
+        lines = [line for line in err.splitlines() if line.startswith("error:")]
+        assert lines == [
+            'error: {"error": "internal", "detail": "H: ValueError: boom"}'
+        ]

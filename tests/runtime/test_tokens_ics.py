@@ -51,6 +51,22 @@ class TestTokens:
         factory.verify(token)
         assert factory.hash_count == before + 2
 
+    def test_registry_holds_no_per_message_state(self):
+        """Nonces are fresh, so a remembered MAC would never be read
+        again: after many mint+verify cycles the registry still holds
+        only per-key entries (keys and keyed HMAC bases)."""
+        registry = KeyRegistry()
+        factory = TokenFactory("T", registry)
+        frame = FrameID(("C", "m"))
+        for _ in range(10_000):
+            assert factory.verify(factory.mint(frame, "e1"))
+        key_names = {"host:T"}
+        for name, table in vars(registry).items():
+            assert isinstance(table, dict), name
+            assert set(table) <= key_names, (
+                f"KeyRegistry.{name} holds {len(table)} entries"
+            )
+
 
 class TestLocalStack:
     def test_push_and_top(self):

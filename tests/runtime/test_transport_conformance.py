@@ -9,8 +9,8 @@ channels behave — or fail closed:
   retransmissions are visible in the fault events);
 * duplicate deliveries are idempotent (the requester sees exactly one
   result; a receiver never re-executes a served request);
-* out-of-order control transfers are delivered to the executor in
-  channel order (TCP holdback buffer) or tolerated by the executor
+* out-of-order control transfers are delivered to the session in
+  channel order (TCP holdback buffer) or tolerated by the session
   (sim reorder injection);
 * a permanently dead channel raises
   :class:`~repro.runtime.network.DeliveryTimeoutError` carrying the
@@ -156,7 +156,7 @@ class TestTcpConformance:
     def test_control_transfers_delivered_in_channel_order(self):
         # A fake peer writes post frames with out-of-order cseq straight
         # onto the socket; the holdback buffer must re-establish channel
-        # order before the executor sees them.
+        # order before the session sees them.
         listener = _listener()
         endpoint = HostEndpoint(
             "B", listener, {"B": listener.getsockname()},

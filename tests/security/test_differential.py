@@ -26,7 +26,7 @@ from repro.runtime import (
 from repro.runtime.faultsweep import assurance_problems, random_policy
 from repro.splitter import split_source
 
-from tests.progen import P_FIELDS, S_FIELDS, config, generate_program
+from repro.progen import P_FIELDS, S_FIELDS, config, generate_program
 
 PROGRAM_SEEDS = list(range(10))
 FAULT_SCHEDULES_PER_PROGRAM = 4

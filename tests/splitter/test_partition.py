@@ -7,7 +7,7 @@ checked-program entry points must agree on it.
 """
 
 from repro.lang import check_program, parse_program, pretty_program
-from repro.runtime.executor import run_split_program
+from repro.runtime import run_split_program
 from repro.splitter import partition
 from repro.splitter.partition import split_program, split_source
 from repro.workloads import ot

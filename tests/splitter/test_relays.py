@@ -4,7 +4,7 @@ capability stack discipline intact."""
 
 import pytest
 
-from repro.runtime import Adversary, DistributedExecutor, run_split_program
+from repro.runtime import Adversary, RuntimeImage, Session, run_split_program
 from repro.splitter import SplitError, split_source
 from repro.trust import HostDescriptor, TrustConfiguration
 
@@ -76,11 +76,11 @@ class TestRelayStructure:
         assert outcome.field_value("Deal", "dealStruck") is True
 
     def test_neither_company_can_probe_the_other(self, split):
-        executor = DistributedExecutor(split)
-        executor.run()
-        supplier = Adversary(executor, "SupplierHost")
+        session = Session(RuntimeImage.for_split(split))
+        session.run()
+        supplier = Adversary(session, "SupplierHost")
         assert supplier.try_get_field("Deal", "maxPrice").rejected
-        buyer = Adversary(executor, "BuyerHost")
+        buyer = Adversary(session, "BuyerHost")
         assert buyer.try_get_field("Deal", "floorPrice").rejected
 
     def test_no_deal_when_floor_exceeds_ceiling(self):

@@ -291,14 +291,14 @@ class TestMedical:
             )
 
     def test_partner_and_insurer_cannot_probe(self, result):
-        from repro.runtime import Adversary, DistributedExecutor
+        from repro.runtime import Adversary, RuntimeImage, Session
         from repro.workloads import medical
 
         split = result.split_result.split
-        executor = DistributedExecutor(split)
-        executor.run()
-        partner = Adversary(executor, "PartnerHost")
+        session = Session(RuntimeImage.for_split(split))
+        session.run()
+        partner = Adversary(session, "PartnerHost")
         assert partner.try_get_field("MedicalSystem", "totalScore").rejected
         assert partner.try_get_field("MedicalSystem", "billingUnits").rejected
-        insurer = Adversary(executor, "InsurerHost")
+        insurer = Adversary(session, "InsurerHost")
         assert insurer.try_get_field("MedicalSystem", "labSeed").rejected
