@@ -32,6 +32,7 @@ from .checkpoint import Checkpoint, CheckpointTamperError
 from .host import _REJECTED, TrustedHost
 from .network import Message, SecurityAbort
 from .session import Session
+from .storage import codec
 from .tokens import Token, forged_token
 from .values import FrameID
 
@@ -271,7 +272,7 @@ class Adversary:
             store.wal = list(genuine_wal)
 
         forged = Checkpoint(
-            victim, store.high_water, host.snapshot_state(),
+            victim, store.high_water, codec.dumps(host.snapshot_state()),
             seal=os.urandom(32),
         )
         store.checkpoint = forged

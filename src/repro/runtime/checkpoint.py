@@ -13,9 +13,13 @@ ran.  This module makes the split explicit.  Each host owns a
   needs), appended *before* the effect is acknowledged to any peer; and
 * a periodic **checkpoint**: a full snapshot of the host's volatile
   state (frames, ICS slice, dedup/seq state, fields, arrays, pending
-  forwards), sealed with HMAC-SHA256 under the host's own key — the
-  same key and registry that sign capability tokens
-  (:mod:`repro.runtime.tokens`).  Taking a checkpoint compacts the WAL.
+  forwards), encoded once as storage-codec text
+  (:mod:`repro.runtime.storage.codec`) and sealed with one
+  HMAC-SHA256 over ``epoch|blob`` under the host's own key — the same
+  key and registry that sign capability tokens
+  (:mod:`repro.runtime.tokens`).  Memory and the persistent tier hold
+  the identical ``(epoch, blob, seal)``.  Taking a checkpoint compacts
+  the WAL.
 
 Stable storage is *untrusted*: a bad host (or a bad storage service)
 may overwrite it.  The seal makes tampering detectable — recovery
@@ -23,7 +27,9 @@ verifies the checkpoint's MAC and its epoch against the host's sealed
 monotonic counter (``high_water``, conceptually a TPM register the
 storage attacker cannot roll back) and **fails closed** with
 :class:`CheckpointTamperError` rather than loading forged or
-rolled-back state.
+rolled-back state.  Recovery decodes the blob into fresh objects, so
+the loaded state never aliases the checkpoint; a blob that does not
+decode is tampering too.
 
 Recovery announcements ride the same machinery: a restarted host
 broadcasts ``recover`` carrying ``(host, epoch, seq)`` sealed with its
@@ -37,8 +43,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .storage import codec as _codec
 from .storage.base import STATS as _STATS
-from .tokens import Token
-from .values import REJECTED, FrameID
 
 
 class CheckpointTamperError(RuntimeError):
@@ -47,75 +51,9 @@ class CheckpointTamperError(RuntimeError):
     monotonic counter (a rollback).  Recovery fails closed."""
 
 
-# ----------------------------------------------------------------------
-# Canonical state encoding (the bytes under the checkpoint seal)
-# ----------------------------------------------------------------------
-
-
-def encode(value: Any) -> bytes:
-    """A canonical, deterministic byte encoding of checkpoint state.
-
-    Handles the container and value types that appear in host state;
-    dictionaries are sorted by encoded key so iteration order never
-    leaks into the seal.  Anything else falls back to ``repr`` (stable
-    for the run-time value types, which print their numeric ids).
-    """
-    if value is None:
-        return b"N"
-    if value is True:
-        return b"T"
-    if value is False:
-        return b"F"
-    if value is REJECTED:
-        return b"R"
-    if isinstance(value, int):
-        return b"i%d" % value
-    if isinstance(value, float):
-        return b"f" + repr(value).encode()
-    if isinstance(value, str):
-        raw = value.encode()
-        return b"s%d:" % len(raw) + raw
-    if isinstance(value, (bytes, bytearray)):
-        return b"b%d:" % len(value) + bytes(value)
-    if isinstance(value, Token):
-        return b"tok(" + value.message() + b"," + value.mac + b")"
-    if isinstance(value, FrameID):
-        return b"fid(%d," % value.fid + encode(value.method_key) + b")"
-    if isinstance(value, (list, tuple)):
-        return b"[" + b",".join(encode(item) for item in value) + b"]"
-    if isinstance(value, dict):
-        items = sorted(
-            (encode(key), encode(val)) for key, val in value.items()
-        )
-        return b"{" + b",".join(k + b"=" + v for k, v in items) + b"}"
-    return b"?" + repr(value).encode()
-
-
 def recovery_blob(host: str, epoch: int, seq: int) -> bytes:
     """The sealed byte format of a recovery announcement."""
     return f"{host}|{epoch}|{seq}".encode()
-
-
-def copy_state(state: Dict[str, Any]) -> Dict[str, Any]:
-    """A structural copy of a host-state snapshot.
-
-    One level deeper than the containers that get mutated in place;
-    leaf values (ints, tokens, refs, labels) are immutable at run time.
-    """
-    return {
-        "fields": dict(state["fields"]),
-        "arrays": {oid: list(vals) for oid, vals in state["arrays"].items()},
-        "array_meta": dict(state["array_meta"]),
-        "frames": {
-            fid: dict(frame) for fid, frame in state["frames"].items()
-        },
-        "stack": list(state["stack"]),
-        "seen": dict(state["seen"]),
-        "pending": {
-            target: dict(slots) for target, slots in state["pending"].items()
-        },
-        "peer_epochs": dict(state["peer_epochs"]),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -124,28 +62,33 @@ def copy_state(state: Dict[str, Any]) -> Dict[str, Any]:
 
 
 class Checkpoint:
-    """One sealed snapshot of a host's volatile state."""
+    """One sealed snapshot of a host's volatile state.
 
-    __slots__ = ("host", "epoch", "state", "seal")
+    ``blob`` is the state as codec text (:func:`repro.runtime.storage.
+    codec.dumps`) and ``seal`` is the host's HMAC over ``epoch|blob``
+    (:func:`seal_body`) — the same three values the persistent tier's
+    ``checkpoints`` row holds.  The blob is immutable text, so holding
+    it never aliases live state.
+    """
+
+    __slots__ = ("host", "epoch", "blob", "seal")
 
     def __init__(
-        self,
-        host: str,
-        epoch: int,
-        state: Dict[str, Any],
-        seal: bytes = b"",
+        self, host: str, epoch: int, blob: str, seal: bytes = b""
     ) -> None:
         self.host = host
         self.epoch = epoch
-        self.state = state
+        self.blob = blob
         self.seal = seal
-
-    def message_body(self) -> bytes:
-        """The bytes the seal authenticates: host, epoch, and state."""
-        return encode((self.host, self.epoch, self.state))
 
     def __repr__(self) -> str:
         return f"Checkpoint({self.host} epoch={self.epoch})"
+
+
+def seal_body(epoch: int, blob: str) -> bytes:
+    """The bytes a checkpoint seal authenticates (under the host key,
+    domain-separated as ``"checkpoint"``)."""
+    return b"%d|" % epoch + blob.encode()
 
 
 class DurableStore:
@@ -170,7 +113,8 @@ class DurableStore:
         #: optional persistent tier (a
         #: :class:`~repro.runtime.storage.base.StorageBackend`).  The
         #: in-memory structures above stay authoritative — the backend
-        #: receives sealed *copies* so a fresh process can rehydrate.
+        #: receives the same sealed blobs so a fresh process can
+        #: rehydrate.
         #: ``None`` (the default) persists nothing and costs nothing.
         self.backend = backend
         #: processed-message count between checkpoints.
@@ -200,9 +144,10 @@ class DurableStore:
     def take_checkpoint(self, state: Dict[str, Any]) -> Checkpoint:
         """Seal ``state`` as the new checkpoint and compact the WAL."""
         epoch = self.high_water + 1
-        checkpoint = Checkpoint(self.host, epoch, state)
-        checkpoint.seal = self._factory.seal(
-            "checkpoint", checkpoint.message_body()
+        blob = _codec.dumps(state)
+        checkpoint = Checkpoint(
+            self.host, epoch, blob,
+            self._factory.seal("checkpoint", seal_body(epoch, blob)),
         )
         self.checkpoint = checkpoint
         self.high_water = epoch
@@ -229,14 +174,12 @@ class DurableStore:
         self.backend.append_wal(self.high_water, index, blob, seal)
 
     def _persist_checkpoint(self, checkpoint: Checkpoint) -> None:
-        """Write the sealed checkpoint snapshot through to the backend
-        (which compacts the persisted WAL rows it supersedes)."""
-        blob = _codec.dumps(checkpoint.state)
-        seal = self._factory.seal(
-            "checkpoint-blob", b"%d|" % checkpoint.epoch + blob.encode()
-        )
+        """Write the sealed checkpoint through to the backend (which
+        compacts the persisted WAL rows it supersedes)."""
         _STATS.checkpoints += 1
-        self.backend.save_checkpoint(checkpoint.epoch, blob, seal)
+        self.backend.save_checkpoint(
+            checkpoint.epoch, checkpoint.blob, checkpoint.seal
+        )
 
     def republish(self) -> None:
         """Re-write the current checkpoint and WAL through a newly
@@ -275,12 +218,17 @@ class DurableStore:
 
     # -- recovery path -----------------------------------------------------
 
-    def load(self) -> Tuple[Dict[str, Any], List[Tuple]]:
-        """Verify and return (state copy, WAL suffix) for recovery.
+    def load(
+        self, ctx: Optional[_codec.DecodeContext] = None
+    ) -> Tuple[Dict[str, Any], List[Tuple]]:
+        """Verify and decode (fresh state, WAL suffix) for recovery.
 
         Raises :class:`CheckpointTamperError` — fail closed — when the
-        checkpoint is missing, its seal does not verify, or its epoch
-        disagrees with the sealed ``high_water`` counter (rollback).
+        checkpoint is missing, its seal does not verify, its epoch
+        disagrees with the sealed ``high_water`` counter (rollback), or
+        its blob does not decode.  ``ctx`` collects the id high-water
+        marks of the decoded state (rehydration advances the global
+        counters past them).
         """
         checkpoint = self.checkpoint
         if checkpoint is None:
@@ -288,8 +236,8 @@ class DurableStore:
                 f"{self.host}: no checkpoint in stable storage"
             )
         if not self._factory.verify_seal(
-            self.host, "checkpoint", checkpoint.message_body(),
-            checkpoint.seal,
+            self.host, "checkpoint",
+            seal_body(checkpoint.epoch, checkpoint.blob), checkpoint.seal,
         ):
             raise CheckpointTamperError(
                 f"{self.host}: checkpoint seal verification failed"
@@ -299,4 +247,10 @@ class DurableStore:
                 f"{self.host}: checkpoint epoch {checkpoint.epoch} does not "
                 f"match the sealed counter {self.high_water} (rollback)"
             )
-        return copy_state(checkpoint.state), list(self.wal)
+        try:
+            state = _codec.loads(checkpoint.blob, ctx)
+        except _codec.StorageCodecError as error:
+            raise CheckpointTamperError(
+                f"{self.host}: undecodable checkpoint: {error}"
+            ) from error
+        return state, list(self.wal)

@@ -13,8 +13,11 @@ with the run's observables.
 Contract highlights:
 
 * **Framing** — the same 4-byte big-endian length-prefixed JSON frames
-  the host-to-host wire uses (:mod:`repro.runtime.transport.tcp`), so
-  one codec serves both planes.
+  the host-to-host wire uses, read by the same parser
+  (:func:`~repro.runtime.transport.tcp.parse_frame`), so one codec
+  serves both planes.  Bytes that are not a frame (over the cap, not
+  UTF-8, not JSON, not an object) get one ``bad-request`` error frame
+  and the connection is closed.
 * **Multiplexing** — each ``run`` frame carries a client-chosen ``id``;
   replies carry it back, so a client may pipeline requests and match
   responses out of order.  Requests from one connection execute
@@ -54,7 +57,13 @@ from .network import DeliveryTimeoutError, SecurityAbort
 from .session import RuntimeImage, Session, SessionPool
 from .storage import StorageUnavailableError
 from .transport.rate_limit import PrincipalRateLimiter
-from .transport.tcp import _LEN, MAX_FRAME, run_split_over_tcp
+from .transport.tcp import (
+    _LEN,
+    FrameError,
+    frame_length,
+    parse_frame,
+    run_split_over_tcp,
+)
 
 #: The closed set of wire error codes (gateway and CLI share it).
 ERROR_CODES = (
@@ -125,12 +134,9 @@ def classify_error(exc: BaseException) -> Tuple[str, str]:
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Dict[str, Any]:
-    header = await reader.readexactly(_LEN.size)
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME:
-        raise ValueError(f"frame of {length} bytes exceeds cap")
-    body = await reader.readexactly(length)
-    return json.loads(body.decode("utf-8"))
+    """Read one frame; :class:`FrameError` if the bytes are not one."""
+    length = frame_length(await reader.readexactly(_LEN.size))
+    return parse_frame(await reader.readexactly(length))
 
 
 async def write_frame(
@@ -285,6 +291,8 @@ class Gateway:
             while True:
                 try:
                     frame = await read_frame(reader)
+                except FrameError:
+                    raise
                 except (asyncio.IncompleteReadError, ConnectionError):
                     break
                 kind = frame.get("t")
@@ -314,6 +322,17 @@ class Gateway:
                 )
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
+        except FrameError as error:
+            # Not a frame: one structured error, then hang up (the
+            # stream has no trustworthy frame boundary left).
+            try:
+                async with write_lock:
+                    await write_frame(
+                        writer,
+                        GatewayError("bad-request", str(error)).frame(None),
+                    )
+            except ConnectionError:
+                pass
         except (asyncio.IncompleteReadError, ConnectionError):
             pass
         except asyncio.CancelledError:

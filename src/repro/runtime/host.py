@@ -43,12 +43,7 @@ from ..splitter.fragments import (
     TermCall,
 )
 from ..trust import KeyRegistry
-from .checkpoint import (
-    CheckpointTamperError,
-    DurableStore,
-    copy_state,
-    recovery_blob,
-)
+from .checkpoint import CheckpointTamperError, DurableStore, recovery_blob
 from .compiler import CompiledFragment
 from .ics import LocalStack
 from .network import Message, SecurityAbort, Transport
@@ -654,19 +649,19 @@ class TrustedHost:
             self.take_checkpoint()
 
     def snapshot_state(self) -> Dict[str, Any]:
-        """A copy of everything a bit-identical recovery must restore."""
-        return copy_state(
-            {
-                "fields": self.field_store,
-                "arrays": self.array_store,
-                "array_meta": self.array_meta,
-                "frames": self.frames,
-                "stack": self.stack._stack,
-                "seen": self._seen_requests,
-                "pending": self.pending,
-                "peer_epochs": self.peer_epochs,
-            }
-        )
+        """Everything a bit-identical recovery must restore.  The live
+        structures themselves, not a copy: a checkpoint encodes them
+        to codec text on the spot."""
+        return {
+            "fields": self.field_store,
+            "arrays": self.array_store,
+            "array_meta": self.array_meta,
+            "frames": self.frames,
+            "stack": self.stack._stack,
+            "seen": self._seen_requests,
+            "pending": self.pending,
+            "peer_epochs": self.peer_epochs,
+        }
 
     def crash_wipe(self) -> None:
         """A volatile-state crash: everything outside the durable store

@@ -154,7 +154,9 @@ class SimNetwork(Transport):
     def _deliver_reliably(
         self, message: Message, handler: Callable[[Message], Any], roundtrip: bool
     ) -> Any:
-        """Ack/retry loop for a synchronous exchange under faults."""
+        """The ack/retry loop under faults, for every delivery kind:
+        ``handler`` is the destination's handler for a request or
+        one-way send, or :meth:`_enqueue` for a control transfer."""
         self._stamp(message)
         attempt = 0
         waited = 0.0
@@ -207,7 +209,9 @@ class SimNetwork(Transport):
     def _try_deliver(
         self, message: Message, handler: Callable[[Message], Any], roundtrip: bool
     ) -> Tuple[bool, Any]:
-        """One transmission attempt; (False, None) means 'no ack'."""
+        """One transmission attempt; (False, None) means 'no ack'.  A
+        duplicated delivery runs ``handler`` twice (a control transfer
+        lands in the inbox twice)."""
         faults = self.faults
         dst = message.dst
         if faults.check_restart(dst, self.clock):
@@ -264,64 +268,7 @@ class SimNetwork(Transport):
             self._account(message, messages=1)
             self._queue.append(message)
             return
-        self._stamp(message)
-        attempt = 0
-        waited = 0.0
-        while True:
-            if self._try_post(message):
-                return
-            timer = self.retry.timeout(attempt)
-            self.clock += timer
-            waited += timer
-            attempt += 1
-            if attempt > self.retry.max_retries or self.retry.past_deadline(
-                waited
-            ):
-                self._emit(
-                    "timeout", message.src, message.dst,
-                    f"{message.kind} #{message.msg_id} gave up after "
-                    f"{attempt} attempts ({waited:.3f}s of timers)",
-                )
-                raise DeliveryTimeoutError(message, attempt)
-            self._emit(
-                "retry", message.src, message.dst,
-                f"{message.kind} #{message.msg_id} attempt {attempt + 1}",
-            )
-
-    def _try_post(self, message: Message) -> bool:
-        """One transmission attempt into the destination's inbox."""
-        faults = self.faults
-        dst = message.dst
-        if faults.check_restart(dst, self.clock):
-            self._host_restarted(dst)
-        if faults.is_down(dst, self.clock):
-            self._account(message, messages=1)
-            self._emit(
-                "drop", message.src, dst,
-                f"{message.kind} #{message.msg_id}: {dst} is down",
-            )
-            return False
-        if faults.maybe_crash(dst, self.clock, message.kind):
-            self._host_crashed(message)
-            return False
-        if faults.should_drop():
-            self._account(message, messages=1)
-            self._emit(
-                "drop", message.src, dst,
-                f"{message.kind} #{message.msg_id} lost in transit",
-            )
-            return False
-        self.clock += faults.jitter()
-        self._account(message, messages=1)
-        self._enqueue(message)
-        if faults.should_duplicate():
-            self.counts["messages"] += 1
-            self._emit(
-                "duplicate", message.src, dst,
-                f"{message.kind} #{message.msg_id} delivered twice",
-            )
-            self._enqueue(message)
-        return True
+        self._deliver_reliably(message, self._enqueue, roundtrip=False)
 
     def _enqueue(self, message: Message) -> None:
         slot = self.faults.reorder_slot(len(self._queue))

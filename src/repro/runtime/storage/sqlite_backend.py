@@ -6,9 +6,14 @@ One :class:`SessionStorage` owns one directory holding
   per-host sealed ``checkpoints`` and write-ahead ``wal`` rows (sealed
   under each host's own key by its
   :class:`~repro.runtime.checkpoint.DurableStore` — the database never
-  sees key material), a session-level ``journal`` row (execution flags,
-  accounting, per-store counters, the id high-water marks), a snapshot
-  of the pending control ``queue``, and the append-only ``flows`` log.
+  sees key material; a ``checkpoints`` row is the in-memory
+  checkpoint's ``(epoch, blob, seal)`` verbatim), a session-level
+  ``journal`` row (execution flags, accounting, per-store counters,
+  the id high-water marks), a snapshot of the pending control
+  ``queue`` (one codec-encoded
+  :class:`~repro.runtime.transport.base.Message` per row), and the
+  append-only ``flows`` log.  Every blob is
+  :mod:`~repro.runtime.storage.codec` text.
 * ``sealed.json`` — the simulated TPM/HSM sidecar: the session's HMAC
   keys and a monotonic ``boundary`` counter.  It models sealed secure
   hardware (the same assumption :class:`DurableStore`'s ``high_water``
@@ -30,12 +35,14 @@ re-executing deterministically.
 boundary against the sidecar counter (a lone ``boundary+1`` is the
 commit-then-sidecar crash window and rolls forward — safe because the
 journal seal is unforgeable; anything else is a rollback and fails
-closed), install host keys into a fresh registry, verify + install
-each host's checkpoint, replay its WAL, restore the queue/flow/
-accounting state, and run a management-plane recovery handshake (each
-peer verifies the recovered host's sealed announcement directly — no
-counted protocol messages, so message counts stay bit-identical to the
-fault-free oracle).  Any verification or decode failure raises
+closed), install host keys into a fresh registry, verify each host's
+WAL rows, rebuild its :class:`~repro.runtime.checkpoint.DurableStore`
+from its rows and recover through :meth:`DurableStore.load` (the one
+checkpoint seal, epoch and decode check), replay the WAL, restore the
+queue/flow/accounting state, and run a management-plane recovery
+handshake (each peer verifies the recovered host's sealed announcement
+directly — no counted protocol messages, so message counts stay
+bit-identical to the fault-free oracle).  Any verification or decode failure raises
 :class:`~repro.runtime.checkpoint.CheckpointTamperError`.
 
 **Graceful degradation.**  Every backend operation funnels through
@@ -267,17 +274,7 @@ class SessionStorage:
             conn = self._conn
             conn.execute("DELETE FROM queue")
             for idx, message in enumerate(net._queue):
-                blob = codec.dumps(
-                    {
-                        "kind": message.kind,
-                        "src": message.src,
-                        "dst": message.dst,
-                        "payload": message.payload,
-                        "data_labels": list(message.data_labels),
-                        "msg_id": message.msg_id,
-                        "seq": message.seq,
-                    }
-                )
+                blob = codec.dumps(message)
                 conn.execute(
                     "INSERT INTO queue (idx, blob, seal) VALUES (?, ?, ?)",
                     (idx, blob, self._seal(b"queue|%d|" % idx, blob)),
@@ -556,8 +553,8 @@ def rehydrate_session(
     :class:`~repro.runtime.checkpoint.CheckpointTamperError`.
     """
     from ...trust import KeyRegistry
-    from ..checkpoint import Checkpoint, DurableStore, copy_state
-    from ..checkpoint import recovery_blob
+    from ..checkpoint import Checkpoint, DurableStore, recovery_blob
+    from ..transport.base import Message
     from ..session import NO_STORAGE, RuntimeImage, Session
 
     started_at = perf_counter()
@@ -608,32 +605,12 @@ def rehydrate_session(
                 f"match the split's hosts {sorted(session.hosts)}",
             )
 
-        # Per-host: verify + install checkpoint, replay WAL.
+        # Per-host: rebuild the durable store from its rows, then
+        # recover through it (seal, epoch and decode checks included).
         for name in sorted(session.hosts):
             host = session.hosts[name]
             meta = journal["stores"][name]
             backend = storage.backend_for(name)
-            row = backend.load_checkpoint()
-            if row is None:
-                raise _tamper(name, "no checkpoint in stable storage")
-            epoch, cp_blob, cp_seal = row
-            if epoch != meta["high_water"]:
-                raise _tamper(
-                    name,
-                    f"checkpoint epoch {epoch} does not match the sealed "
-                    f"counter {meta['high_water']} (rollback)",
-                )
-            if not host.factory.verify_seal(
-                name, "checkpoint-blob",
-                b"%d|" % epoch + cp_blob.encode(), cp_seal,
-            ):
-                raise _tamper(name, "checkpoint seal verification failed")
-            try:
-                state = codec.loads(cp_blob, ctx)
-            except codec.StorageCodecError as error:
-                raise _tamper(
-                    name, f"undecodable checkpoint: {error}"
-                ) from error
             wal_rows = backend.load_wal()
             if len(wal_rows) != meta["wal_len"]:
                 raise _tamper(
@@ -641,7 +618,13 @@ def rehydrate_session(
                     f"WAL has {len(wal_rows)} records, sealed counter "
                     f"says {meta['wal_len']} (truncation)",
                 )
-            entries = []
+            store = DurableStore(
+                name, host.factory, interval=meta["interval"],
+                backend=backend,
+            )
+            row = backend.load_checkpoint()
+            if row is not None:
+                store.checkpoint = Checkpoint(name, *row)
             for index, wal_epoch, wal_blob, wal_seal in wal_rows:
                 if not host.factory.verify_seal(
                     name, "wal-record",
@@ -657,24 +640,15 @@ def rehydrate_session(
                     raise _tamper(
                         name, f"undecodable WAL record {index}: {error}"
                     ) from error
-                entries.append(tuple(entry))
-            store = DurableStore(
-                name, host.factory, interval=meta["interval"],
-                backend=backend,
-            )
-            checkpoint = Checkpoint(name, epoch, copy_state(state))
-            checkpoint.seal = host.factory.seal(
-                "checkpoint", checkpoint.message_body()
-            )
-            store.checkpoint = checkpoint
+                store.wal.append(tuple(entry))
             store.high_water = meta["high_water"]
             store.recoveries = meta["recoveries"]
             store.processed = meta["processed"]
             store.checkpoints_taken = meta["checkpoints_taken"]
-            store.wal = list(entries)
             host.durable = store
+            state, wal = store.load(ctx)
             host._install_state(state)
-            for entry in entries:
+            for entry in wal:
                 host._replay(entry)
 
         # Control queue, flow log, accounting.
@@ -689,21 +663,14 @@ def rehydrate_session(
                     f"queue has {len(queue_rows)} rows, journal says "
                     f"{journal['queue_len']}",
                 )
-            from ..network import Message
-
             queue = deque()
             for idx, q_blob, q_seal in queue_rows:
                 if not storage._check_seal(b"queue|%d|" % idx, q_blob, q_seal):
                     raise _tamper(None, f"queue row {idx} seal failed")
-                fields = codec.loads(q_blob, ctx)
-                queue.append(
-                    Message(
-                        fields["kind"], fields["src"], fields["dst"],
-                        fields["payload"],
-                        data_labels=fields["data_labels"],
-                        msg_id=fields["msg_id"], seq=fields["seq"],
-                    )
-                )
+                message = codec.loads(q_blob, ctx)
+                if not isinstance(message, Message):
+                    raise _tamper(None, f"queue row {idx} is not a message")
+                queue.append(message)
             flow_rows = _read_all(
                 storage, "SELECT idx, blob, seal FROM flows ORDER BY idx"
             )

@@ -5,12 +5,17 @@ message by calling the destination host's handler in the same address
 space.  This backend puts the identical protocol on an actual wire:
 
 * **Framing.**  Every frame is a 4-byte big-endian length prefix
-  followed by that many bytes of UTF-8 JSON.  Message payloads —
-  tokens, frame ids, object/array references, labels, the ``REJECTED``
-  sentinel — ride through the storage codec
-  (:mod:`repro.runtime.storage.codec`), the same deterministic
-  tagged-JSON encoding the durable tier trusts, so the wire format is
-  untrusted-input handling by construction.
+  followed by that many bytes of UTF-8 JSON holding an object; one
+  parser (:func:`frame_length` for the size cap, :func:`parse_frame`
+  for the body) serves every reader, and a bad frame raises
+  :class:`FrameError`.  A ``req``/``post`` frame carries the
+  idempotency key as ``id`` and the whole
+  :class:`~repro.runtime.transport.base.Message` as ``m``, encoded by
+  the storage codec (:mod:`repro.runtime.storage.codec`) — the same
+  deterministic tagged-JSON text the durable tier stores in its
+  ``queue`` rows, so the wire format is untrusted-input handling by
+  construction.  A frame whose ``m`` does not decode to a message
+  matching ``id`` is audited and answered ``bad-request``.
 
 * **Envelope.**  Frames carry the existing reliable-delivery envelope:
   the per-message idempotency key (``msg_id``), the per-channel
@@ -77,10 +82,13 @@ from .base import (
 )
 
 __all__ = [
+    "FrameError",
     "HostEndpoint",
     "TcpRunResult",
     "WirePolicy",
     "WireRetryPolicy",
+    "frame_length",
+    "parse_frame",
     "recv_frame",
     "run_split_over_tcp",
     "send_frame",
@@ -121,15 +129,37 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
+class FrameError(ConnectionError):
+    """A peer sent bytes that are not a frame: over the size cap, not
+    UTF-8, not JSON, or not a JSON object."""
+
+
+def frame_length(header: bytes) -> int:
+    """The body length a 4-byte frame header announces, refused past
+    :data:`MAX_FRAME` before anything is allocated for it."""
+    (length,) = _LEN.unpack(header)
+    if length > MAX_FRAME:
+        raise FrameError(f"frame of {length} bytes exceeds the cap")
+    return length
+
+
+def parse_frame(blob: bytes) -> Dict[str, Any]:
+    """Decode one frame body: UTF-8 JSON holding an object.  The one
+    parser behind every reader of peer or client frames (each checks
+    the size cap on the header first, with :func:`frame_length`)."""
+    try:
+        frame = json.loads(blob.decode("utf-8"))
+    except (ValueError, RecursionError) as error:
+        raise FrameError(f"undecodable frame: {error}") from error
+    if not isinstance(frame, dict):
+        raise FrameError("frame is not a JSON object")
+    return frame
+
+
 def recv_frame(sock: socket.socket) -> Dict[str, Any]:
     """Read one length-prefixed JSON frame (blocking socket)."""
-    (length,) = _LEN.unpack(_recv_exact(sock, _LEN.size))
-    if length > MAX_FRAME:
-        raise ConnectionError(f"frame of {length} bytes exceeds the cap")
-    frame = json.loads(_recv_exact(sock, length).decode("utf-8"))
-    if not isinstance(frame, dict):
-        raise ConnectionError("frame is not a JSON object")
-    return frame
+    length = frame_length(_recv_exact(sock, _LEN.size))
+    return parse_frame(_recv_exact(sock, length))
 
 
 class _Conn:
@@ -147,44 +177,19 @@ class _Conn:
         self.buf += data
         out = []
         while len(self.buf) >= _LEN.size:
-            (length,) = _LEN.unpack(self.buf[: _LEN.size])
-            if length > MAX_FRAME:
-                raise ConnectionError(
-                    f"frame of {length} bytes exceeds the cap"
-                )
+            length = frame_length(self.buf[: _LEN.size])
             if len(self.buf) < _LEN.size + length:
                 break
             blob = self.buf[_LEN.size : _LEN.size + length]
             self.buf = self.buf[_LEN.size + length :]
-            frame = json.loads(blob.decode("utf-8"))
-            if not isinstance(frame, dict):
-                raise ConnectionError("frame is not a JSON object")
-            out.append(frame)
+            out.append(parse_frame(blob))
         return out
 
 
-def _enc_message(message: Message) -> Dict[str, Any]:
-    return {
-        "kind": message.kind,
-        "src": message.src,
-        "dst": message.dst,
-        "payload": dumps(message.payload),
-        "labels": dumps(message.data_labels),
-        "msg_id": message.msg_id,
-        "seq": message.seq,
-    }
-
-
-def _dec_message(data: Dict[str, Any]) -> Message:
-    return Message(
-        data["kind"],
-        data["src"],
-        data["dst"],
-        loads(data["payload"]),
-        data_labels=loads(data["labels"]),
-        msg_id=data["msg_id"],
-        seq=data["seq"],
-    )
+def _frame(kind: str, message: Message) -> Dict[str, Any]:
+    """A ``req``/``post`` frame: the idempotency key plus the message
+    as codec text."""
+    return {"t": kind, "id": message.msg_id, "m": dumps(message)}
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +387,7 @@ class HostEndpoint(Transport):
                 continue
             try:
                 frames = conn.frames(data)
-            except (ConnectionError, ValueError) as error:
+            except FrameError as error:
                 self.audit(self.name, f"undecodable frame stream: {error}")
                 self._drop_conn(conn)
                 continue
@@ -398,15 +403,49 @@ class HostEndpoint(Transport):
         elif kind == "req":
             self._serve_request(frame, conn)
         elif kind in ("rep", "ack", "err"):
-            self._replies[frame["id"]] = frame
+            msg_id = frame.get("id")
+            if type(msg_id) is not int:
+                self.audit(self.name, f"{kind} frame without an id")
+                return
+            self._replies[msg_id] = frame
         elif kind == "post":
             self._serve_post(frame, conn)
         else:
             self.inbox.append((frame, conn))
 
+    def _inbound(
+        self, frame: Dict[str, Any], conn: _Conn
+    ) -> Optional[Message]:
+        """The message a ``req``/``post`` frame carries, or None after
+        auditing a bad frame and answering it with ``bad-request``."""
+        try:
+            message = loads(frame.get("m"))
+            if not isinstance(message, Message):
+                raise StorageCodecError("not a message")
+            if type(frame.get("id")) is not int or (
+                message.msg_id != frame["id"]
+            ):
+                raise StorageCodecError("frame id does not match")
+            if frame["t"] == "post" and not (
+                type(frame.get("cseq")) is int and frame["cseq"] >= 1
+            ):
+                raise StorageCodecError("control sequence is not an int")
+        except StorageCodecError as error:
+            detail = f"undecodable {frame['t']}: {error}"
+            self.audit(self.name, detail)
+            self._write(conn, {
+                "t": "err", "id": frame.get("id"), "code": "bad-request",
+                "detail": detail,
+            })
+            return None
+        return message
+
     def _serve_request(self, frame: Dict[str, Any], conn: _Conn) -> None:
-        msg_id = frame["m"]["msg_id"]
-        dedup_key = (frame["m"]["src"], msg_id)
+        message = self._inbound(frame, conn)
+        if message is None:
+            return
+        msg_id = message.msg_id
+        dedup_key = (message.src, msg_id)
         cached = self._served.get(dedup_key)
         if cached is not None:
             self._write(conn, cached)
@@ -414,15 +453,6 @@ class HostEndpoint(Transport):
         if dedup_key in self._serving:
             # Retransmission of a request whose first execution is
             # still running: the reply goes out when it finishes.
-            return
-        try:
-            message = _dec_message(frame["m"])
-        except (StorageCodecError, KeyError, TypeError) as error:
-            self.audit(self.name, f"undecodable request: {error}")
-            self._write(conn, {
-                "t": "err", "id": msg_id, "code": "bad-request",
-                "detail": f"undecodable request: {error}",
-            })
             return
         self._serving.add(dedup_key)
         try:
@@ -448,15 +478,12 @@ class HostEndpoint(Transport):
         self._write(conn, reply)
 
     def _serve_post(self, frame: Dict[str, Any], conn: _Conn) -> None:
-        msg_id = frame["m"]["msg_id"]
+        message = self._inbound(frame, conn)
+        if message is None:
+            return
         # Always ack — even duplicates and holdbacks — so the sender's
         # retransmission timer stops; ordering is our problem now.
-        self._write(conn, {"t": "ack", "id": msg_id})
-        try:
-            message = _dec_message(frame["m"])
-        except (StorageCodecError, KeyError, TypeError) as error:
-            self.audit(self.name, f"undecodable control message: {error}")
-            return
+        self._write(conn, {"t": "ack", "id": message.msg_id})
         src, cseq = message.src, frame["cseq"]
         expected = self._ctrl_in.get(src, 1)
         if cseq < expected:
@@ -482,7 +509,7 @@ class HostEndpoint(Transport):
         self._check_quarantine(message)
         self._stamp(message)
         self._account(message, messages=2)
-        return self._exchange(message, {"t": "req", "m": _enc_message(message)})
+        return self._exchange(message, _frame("req", message))
 
     def one_way(self, message: Message, messages: int = 1) -> Any:
         if message.dst == self.name:
@@ -490,7 +517,7 @@ class HostEndpoint(Transport):
         self._check_quarantine(message)
         self._stamp(message)
         self._account(message, messages=messages)
-        return self._exchange(message, {"t": "req", "m": _enc_message(message)})
+        return self._exchange(message, _frame("req", message))
 
     def post(self, message: Message) -> None:
         if message.src == message.dst:
@@ -501,11 +528,8 @@ class HostEndpoint(Transport):
         self._account(message, messages=1)
         channel = (message.src, message.dst)
         self._ctrl_out[channel] += 1
-        frame = {
-            "t": "post",
-            "m": _enc_message(message),
-            "cseq": self._ctrl_out[channel],
-        }
+        frame = _frame("post", message)
+        frame["cseq"] = self._ctrl_out[channel]
         self._exchange(message, frame)
 
     def _exchange(self, message: Message, frame: Dict[str, Any]) -> Any:

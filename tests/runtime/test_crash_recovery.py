@@ -27,8 +27,6 @@ from repro.runtime.checkpoint import (
     Checkpoint,
     CheckpointTamperError,
     DurableStore,
-    copy_state,
-    encode,
 )
 from repro.runtime.faultsweep import crash_point_sweep
 from repro.runtime.tokens import TokenFactory
@@ -98,7 +96,7 @@ class TestDurableStore:
         stolen = other_store.checkpoint
         store.high_water = stolen.epoch
         store.checkpoint = Checkpoint(
-            "A", stolen.epoch, stolen.state, seal=stolen.seal
+            "A", stolen.epoch, stolen.blob, seal=stolen.seal
         )
         with pytest.raises(CheckpointTamperError):
             store.load()
@@ -126,25 +124,6 @@ class TestDurableStore:
         state["fields"][("C", "f", None)] = 99
         again, _ = store.load()
         assert again["fields"][("C", "f", None)] == 7
-
-
-class TestEncoding:
-    def test_deterministic_across_dict_insertion_order(self):
-        a = {"x": 1, "y": 2}
-        b = {"y": 2, "x": 1}
-        assert encode(a) == encode(b)
-
-    def test_distinguishes_types(self):
-        assert encode(1) != encode("1")
-        assert encode(True) != encode(1)
-        assert encode(None) != encode(False)
-        assert encode([1, 2]) != encode([2, 1])
-
-    def test_copy_state_is_deep_enough(self):
-        state = sample_state()
-        copied = copy_state(state)
-        copied["arrays"][1].append(4)
-        assert state["arrays"][1] == [1, 2, 3]
 
 
 # ----------------------------------------------------------------------

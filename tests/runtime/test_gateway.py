@@ -25,6 +25,7 @@ from repro.runtime.network import (
     SecurityAbort,
 )
 from repro.runtime.storage import StorageUnavailableError
+from repro.runtime.transport.tcp import _LEN
 from repro.runtime.transport.rate_limit import (
     PrincipalRateLimiter,
     TokenBucket,
@@ -211,6 +212,40 @@ class TestGateway:
             assert reply["t"] == "error"
             assert reply["code"] == "bad-request"
             writer.close()
+
+        _run(_with_gateway(scenario))
+
+    @pytest.mark.parametrize(
+        "bodies",
+        [
+            [b"not json"],
+            [b"\xff\xfe\xfd"],
+            [b"[1, 2]"],
+            [b'{"t": "hello", "principal": "p"}', b"[]"],
+        ],
+        ids=["non-json", "non-utf8", "json-array", "array-after-hello"],
+    )
+    def test_malformed_frame_gets_bad_request_not_a_traceback(self, bodies):
+        async def scenario(gateway, host, port):
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            reader, writer = await asyncio.open_connection(host, port)
+            for body in bodies:
+                writer.write(_LEN.pack(len(body)) + body)
+            await writer.drain()
+            reply = await read_frame(reader)
+            if len(bodies) > 1:
+                assert reply["t"] == "welcome"
+                reply = await read_frame(reader)
+            assert reply["t"] == "error"
+            assert reply["code"] == "bad-request"
+            # ...and the gateway hangs up.
+            assert await reader.read() == b""
+            writer.close()
+            await gateway.close()
+            assert unhandled == []
 
         _run(_with_gateway(scenario))
 

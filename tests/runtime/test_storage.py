@@ -31,11 +31,14 @@ import signal
 import sqlite3
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.labels import parse_label
 from repro.runtime import RetryPolicy, RuntimeImage, Session, SessionPool
 from repro.runtime.checkpoint import CheckpointTamperError
 from repro.runtime.faultsweep import storage_fault_sweep
+from repro.runtime.network import Message
 from repro.runtime.storage import (
     STATS,
     DecodeContext,
@@ -113,6 +116,19 @@ def wal_row_count(directory):
 # ----------------------------------------------------------------------
 
 
+#: every node tag and field name the codec knows, so the fuzzer builds
+#: near-valid nodes instead of only unknown-tag dicts.
+_CODEC_TAGS = (
+    "rej", "b", "t", "l", "d", "tok", "fid", "oref", "aref", "rinfo",
+    "lab", "msg", "T", "B",
+)
+_CODEC_FIELDS = (
+    "t", "v", "host", "frame", "entry", "nonce", "mac", "fid", "mk",
+    "cls", "oid", "length", "label", "var", "kind", "src", "dst",
+    "payload", "labels", "id", "seq",
+)
+
+
 class TestCodec:
     def test_plain_tree_roundtrip(self):
         value = {
@@ -148,6 +164,23 @@ class TestCodec:
         assert got_array.label is array.label  # interned
         assert got_rinfo.host == "A" and got_rinfo.var == "rv"
 
+    def test_message_roundtrip(self):
+        frame = FrameID(("C", "m"))
+        label = parse_label("{Alice:}")
+        message = Message(
+            "rgoto", "A", "B",
+            {"entry": "e1", "frame": frame, "vars": {frame: {"x": 3}}},
+            data_labels=[label], msg_id=17, seq=4,
+        )
+        got = codec.loads(codec.dumps(message))
+        assert isinstance(got, Message)
+        assert (got.kind, got.src, got.dst) == ("rgoto", "A", "B")
+        assert got.payload == message.payload
+        assert got.data_labels == [label] and got.data_labels[0] is label
+        assert (got.msg_id, got.seq) == (17, 4)
+        bare = codec.loads(codec.dumps(Message("sync", "A", "B", {})))
+        assert (bare.msg_id, bare.seq, bare.data_labels) == (None, None, [])
+
     def test_decoding_never_draws_fresh_ids(self):
         blob = codec.dumps([ObjectRef("C"), FrameID(("C", "m"))])
         before_oid = next(_values._object_ids)
@@ -176,11 +209,80 @@ class TestCodec:
             '{"t": "b", "v": "zz"}',
             '{"t": "fid", "fid": "x", "mk": {"t": "t", "v": []}}',
             '{"missing": "tag"}',
+            '{"t": "l", "v": {"a": 1}}',
+            '{"t": "t", "v": {"a": 1}}',
+            '{"t": "d", "v": {"ab": 1}}',
+            '{"t": "d", "v": [["k"]]}',
+            '{"t": "oref", "cls": 5, "oid": 1}',
+            '{"t": "oref", "cls": "C", "oid": true}',
+            '{"t": "aref", "oid": 1, "length": 2, "host": 3, "label": '
+            '["T", "B"]}',
+            '{"t": "rinfo", "host": 1, "frame": null, "var": "v"}',
+            '{"t": "rinfo", "host": "A", "frame": null, "var": ["v"]}',
+            '{"t": "rinfo", "host": "A", "frame": 7, "var": "v"}',
+            '{"t": "tok", "host": 1, "entry": "e", "nonce": "", "mac": "", '
+            '"frame": {"t": "fid", "fid": 1, "mk": {"t": "t", "v": ["C", '
+            '"m"]}}}',
+            '{"t": "tok", "host": "A", "entry": null, "nonce": "", "mac": "", '
+            '"frame": {"t": "fid", "fid": 1, "mk": {"t": "t", "v": ["C", '
+            '"m"]}}}',
+            '{"t": "fid", "fid": true, "mk": {"t": "t", "v": ["C", "m"]}}',
+            '{"t": "fid", "fid": 1, "mk": {"t": "t", "v": ["C"]}}',
+            '{"t": "fid", "fid": 1, "mk": {"t": "t", "v": [1, 2]}}',
+            '{"t": "lab", "v": [[["Alice", "Bob"]], "B"]}',
+            '{"t": "lab", "v": [[[1, []]], "B"]}',
+            '{"t": "lab", "v": ["T", [1]]}',
+            # bad "msg" nodes: every field is checked
+            '{"t": "msg"}',
+            '{"t": "msg", "kind": 1, "src": "A", "dst": "B", '
+            '"payload": {"t": "d", "v": []}, "labels": {"t": "l", "v": []}, '
+            '"id": 1, "seq": 1}',
+            '{"t": "msg", "kind": "sync", "src": "A", "dst": null, '
+            '"payload": {"t": "d", "v": []}, "labels": {"t": "l", "v": []}, '
+            '"id": 1, "seq": 1}',
+            '{"t": "msg", "kind": "sync", "src": "A", "dst": "B", '
+            '"payload": [], "labels": {"t": "l", "v": []}, '
+            '"id": 1, "seq": 1}',
+            '{"t": "msg", "kind": "sync", "src": "A", "dst": "B", '
+            '"payload": {"t": "d", "v": []}, "labels": {"t": "l", "v": [1]}, '
+            '"id": 1, "seq": 1}',
+            '{"t": "msg", "kind": "sync", "src": "A", "dst": "B", '
+            '"payload": {"t": "d", "v": []}, "labels": {"t": "l", "v": []}, '
+            '"id": "1", "seq": 1}',
+            '{"t": "msg", "kind": "sync", "src": "A", "dst": "B", '
+            '"payload": {"t": "d", "v": []}, "labels": {"t": "l", "v": []}, '
+            '"id": 1, "seq": false}',
+            pytest.param("[" * 100_000 + "]" * 100_000, id="deep-json"),
+            pytest.param(
+                '{"t": "l", "v": ' * 5_000 + "[]" + "}" * 5_000,
+                id="deep-codec-nodes",
+            ),
+            pytest.param("1" * 5_000, id="huge-int"),
+            pytest.param(b"\xff\xfe\x00", id="not-utf8"),
         ],
     )
     def test_malformed_input_fails_closed(self, text):
         with pytest.raises(StorageCodecError):
             codec.loads(text)
+
+    @given(st.one_of(st.text(), st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats()
+        | st.text(max_size=8) | st.sampled_from(_CODEC_TAGS),
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(
+            st.sampled_from(_CODEC_FIELDS) | st.text(max_size=4),
+            children, max_size=5,
+        ),
+        max_leaves=30,
+    ).map(json.dumps)))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_json_decodes_or_fails_closed(self, text):
+        """Peer and disk bytes land here: for any JSON text ``loads``
+        returns a value or raises StorageCodecError, nothing else."""
+        try:
+            codec.loads(text)
+        except StorageCodecError:
+            pass
 
     def test_unencodable_value_rejected(self):
         with pytest.raises(StorageCodecError):
@@ -254,6 +356,24 @@ class TestBackendContract:
         finally:
             if storage is not None:
                 storage.close()
+
+    def test_one_seal_per_checkpoint_and_the_row_is_the_checkpoint(
+        self, tmp_path
+    ):
+        """A checkpoint is encoded and sealed once: memory and the
+        ``checkpoints`` row hold the same ``(epoch, blob, seal)``."""
+        session, storage = storage_session(ot_split(), str(tmp_path / "one"))
+        try:
+            session.start()
+            for host in session.hosts.values():
+                before = host.factory.hash_count
+                checkpoint = host.take_checkpoint()
+                assert host.factory.hash_count == before + 1
+                assert host.durable.backend.load_checkpoint() == (
+                    checkpoint.epoch, checkpoint.blob, checkpoint.seal
+                )
+        finally:
+            storage.close()
 
     def test_sqlite_rows_are_isolated_per_host(self, tmp_path):
         storage = SessionStorage(str(tmp_path / "hosts"))
@@ -509,45 +629,16 @@ class TestStorageFaultSweep:
 
 
 # ----------------------------------------------------------------------
-# Opt-in retry jitter (satellite)
+# Retry schedule: exact truncated doubling, no jitter
 # ----------------------------------------------------------------------
 
 
 class TestRetryJitter:
     def test_default_schedule_is_the_exact_doubling(self):
         policy = RetryPolicy(base_timeout=1e-3, backoff=2.0, max_timeout=0.05)
-        assert policy.jitter_seed is None
         assert policy.timeout(0) == pytest.approx(1e-3)
         assert policy.timeout(4) == pytest.approx(16e-3)
         assert policy.timeout(40) == 0.05
-
-    def test_seeded_jitter_is_reproducible(self):
-        a = RetryPolicy(jitter_seed=7)
-        b = RetryPolicy(jitter_seed=7)
-        schedule_a = [a.timeout(i) for i in range(6)]
-        schedule_b = [b.timeout(i) for i in range(6)]
-        assert schedule_a == schedule_b
-        assert schedule_a != [
-            RetryPolicy().timeout(i) for i in range(6)
-        ]
-
-    def test_jitter_stays_within_bounds(self):
-        policy = RetryPolicy(
-            base_timeout=1e-3, max_timeout=0.02, jitter_seed=11
-        )
-        for attempt in range(20):
-            value = policy.timeout(attempt)
-            assert 1e-3 <= value <= 0.02
-
-    def test_attempt_zero_restarts_the_decorrelated_walk(self):
-        policy = RetryPolicy(jitter_seed=5)
-        first = [policy.timeout(i) for i in range(4)]
-        # A second message restarts at attempt 0: the walk re-anchors at
-        # base_timeout instead of compounding the previous message's
-        # last timer.
-        second = [policy.timeout(i) for i in range(4)]
-        assert first[0] <= 3.0 * policy.base_timeout
-        assert second[0] <= 3.0 * policy.base_timeout
 
 
 # ----------------------------------------------------------------------

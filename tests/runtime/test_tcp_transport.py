@@ -11,11 +11,16 @@ split, for every Table 1 workload.
 import socket
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime.session import RuntimeImage, Session
 from repro.runtime.transport.tcp import (
     MAX_FRAME,
     _LEN,
+    FrameError,
+    _Conn,
+    parse_frame,
     recv_frame,
     run_split_over_tcp,
     send_frame,
@@ -63,6 +68,25 @@ class TestFraming:
         with pytest.raises(ConnectionError, match="exceeds"):
             recv_frame(b)
         a.close(), b.close()
+
+    @given(st.binary(max_size=64) | st.text(max_size=64).map(str.encode))
+    @settings(max_examples=300, deadline=None)
+    def test_any_body_parses_or_raises_frame_error(self, body):
+        """The one parser behind every frame reader: arbitrary bytes
+        give a JSON object or FrameError, nothing else."""
+        try:
+            assert isinstance(parse_frame(body), dict)
+        except FrameError:
+            pass
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"not json", b"\xff\xfe\xfd", b"[1, 2]", b"[" * 100_000],
+        ids=["non-json", "non-utf8", "json-array", "deep-json"],
+    )
+    def test_stream_reader_rejects_malformed_bodies(self, body):
+        with pytest.raises(FrameError):
+            _Conn(None).frames(_LEN.pack(len(body)) + body)
 
     def test_truncated_stream_raises_connection_error(self):
         a, b = self._pipe()

@@ -28,11 +28,11 @@ from repro.runtime.network import (
     Message,
     SimNetwork,
 )
+from repro.runtime.storage import codec
 from repro.runtime.transport.tcp import (
     HostEndpoint,
     WirePolicy,
     WireRetryPolicy,
-    _enc_message,
     recv_frame,
     send_frame,
 )
@@ -172,7 +172,8 @@ class TestTcpConformance:
                 )
                 send_frame(
                     peer,
-                    {"t": "post", "m": _enc_message(message), "cseq": cseq},
+                    {"t": "post", "id": msg_id, "m": codec.dumps(message),
+                     "cseq": cseq},
                 )
 
             post(2, 102)
@@ -196,6 +197,53 @@ class TestTcpConformance:
                     break
                 delivered.append(message.payload["n"])
             assert delivered == [1, 2, 3]
+            peer.close()
+        finally:
+            endpoint.close()
+
+    @pytest.mark.parametrize(
+        "frame,answered",
+        [
+            ({"t": "rep", "r": "1"}, False),
+            ({"t": "ack"}, False),
+            ({"t": "err", "code": "internal"}, False),
+            ({"t": "post", "id": 7, "cseq": "1", "m": codec.dumps(
+                Message("rgoto", "A", "B", {}, msg_id=7, seq=1))}, True),
+            ({"t": "post", "id": 7, "cseq": 1, "m": codec.dumps(
+                Message("rgoto", "A", "B", {}, msg_id=8, seq=1))}, True),
+            ({"t": "req"}, True),
+            ({"t": "req", "m": "x"}, True),
+            ({"t": "req", "id": 9, "m": codec.dumps(["not", "a", "message"])},
+             True),
+        ],
+        ids=["rep-no-id", "ack-no-id", "err-no-id", "post-str-cseq",
+             "post-id-mismatch", "req-no-m", "req-bad-m", "req-not-message"],
+    )
+    def test_malformed_fields_are_audited_and_dropped(self, frame, answered):
+        """A peer's malformed frame never escapes ``pump``: it is
+        audited, executes nothing, and a req/post is answered with a
+        ``bad-request`` error."""
+        listener = _listener()
+        calls = []
+        endpoint = HostEndpoint("B", listener, {"B": listener.getsockname()})
+        endpoint.register("B", calls.append)
+        try:
+            peer = socket.create_connection(listener.getsockname())
+            send_frame(peer, {"t": "hello", "from": "A"})
+            send_frame(peer, frame)
+            for _ in range(100):
+                endpoint.pump(0.05)
+                if endpoint.audit_log:
+                    break
+            assert len(endpoint.audit_log) == 1
+            assert calls == [] and endpoint.pop_control() is None
+            assert endpoint._replies == {}
+            if answered:
+                peer.settimeout(2.0)
+                reply = recv_frame(peer)
+                assert reply["t"] == "err"
+                assert reply["code"] == "bad-request"
+                assert reply["id"] == frame.get("id")
             peer.close()
         finally:
             endpoint.close()
