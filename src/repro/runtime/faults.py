@@ -6,9 +6,11 @@ The paper's runtime assumes reliable, in-order SSL channels (Section
 schedule is reproducible from its seed — decides, per delivery attempt,
 whether a message is lost, duplicated, reordered, delayed, or whether
 the destination host crashes on receipt.  The reliable-delivery layer
-in :mod:`repro.runtime.network` (sequence numbers, ack/retry with
-exponential backoff, receiver-side idempotency) masks these faults or
-fails closed with :class:`~repro.runtime.network.DeliveryTimeoutError`.
+(sequence numbers, the one ack/retry loop in
+:mod:`repro.runtime.transport.base` on the :class:`RetryPolicy`
+schedule, receiver-side idempotency keyed by ``(src, msg_id)``) masks
+these faults or fails closed with
+:class:`~repro.runtime.network.DeliveryTimeoutError`.
 
 Crashes are fail-stop and volatile: a crash loses the messages in
 flight and wipes the host's fields, frames, ICS slice and
@@ -92,17 +94,19 @@ class FaultPolicy:
 
 
 class RetryPolicy:
-    """Ack/retry parameters of the reliable-delivery layer.
+    """The one backoff schedule: ack/retry of both transports, and the
+    storage tier's retries of a locked database.
 
-    The sender retransmits after ``base_timeout`` simulated seconds,
-    doubling (``backoff``) on every further attempt but never waiting
-    longer than ``max_timeout`` per attempt, and gives up — failing
-    closed — after ``max_retries`` retransmissions *or* once the total
-    time spent waiting on one message exceeds ``deadline`` (``None``
-    disables the deadline).  Both bounds guarantee a permanently-dead
-    destination yields a
+    The sender retransmits after ``base_timeout`` seconds — simulated
+    on :class:`~repro.runtime.network.SimNetwork`, real on the TCP
+    wire and in storage — doubling (``backoff``) on every further
+    attempt but never waiting longer than ``max_timeout`` per attempt,
+    and gives up — failing closed — after ``max_retries``
+    retransmissions *or* once the total time spent waiting on one
+    message exceeds ``deadline`` (``None`` disables the deadline).
+    Both bounds guarantee a permanently-dead destination yields a
     :class:`~repro.runtime.network.DeliveryTimeoutError` in bounded
-    simulated time instead of unbounded exponential doubling.
+    time instead of unbounded exponential doubling.
     """
 
     def __init__(

@@ -96,10 +96,12 @@ class TrustedHost:
         self._image = image
         self.factory = TokenFactory(name, registry, rng=token_rng)
         self.stack = LocalStack()
-        #: idempotency table: processed msg_id -> result.  After a crash
-        #: it is rebuilt from the durable store's WAL, so
-        #: retransmissions stay suppressed across the crash.
-        self._seen_requests: Dict[int, Any] = {}
+        #: idempotency table: processed (src, msg_id) -> result.  Keyed
+        #: by sender so a cached reply only ever goes back to the host
+        #: that asked.  After a crash it is rebuilt from the durable
+        #: store's WAL, so retransmissions stay suppressed across the
+        #: crash.
+        self._seen_requests: Dict[Tuple[str, int], Any] = {}
         #: arrays allocated here: oid -> element list / element label.
         self.array_store: Dict[int, list] = {}
         self.array_meta: Dict[int, Label] = {}
@@ -242,7 +244,10 @@ class TrustedHost:
                 # Reliable-delivery idempotency: a retransmission or
                 # duplicate re-presents a processed key; answer from the
                 # table instead of re-executing the request's effects.
-                cached = self._seen_requests.get(message.msg_id, _UNSEEN)
+                # Another sender re-using the id misses the table and
+                # meets the Figure 6 checks like any other request.
+                key = (message.src, message.msg_id)
+                cached = self._seen_requests.get(key, _UNSEEN)
                 if cached is not _UNSEEN:
                     return cached
         handler = self._dispatch_table.get(message.kind)
@@ -256,9 +261,9 @@ class TrustedHost:
                 # the reply is released, or a crash + retransmission
                 # would re-execute the request's effects (e.g. re-mint
                 # a sync token and diverge from the fault-free run).
-                self._seen_requests[message.msg_id] = result
+                self._seen_requests[key] = result
                 if self.durable is not None:
-                    self.durable.log("seen", message.msg_id, result)
+                    self.durable.log("seen", key, result)
             if result is _REJECTED:
                 return self._reject(message)
             if self.durable is not None:

@@ -69,10 +69,9 @@ class SimNetwork(Transport):
         faults: Optional[FaultInjector] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
-        super().__init__(cost_model)
+        super().__init__(cost_model, retry)
         #: fault injector; None restores the reliable Section 3.1 channels.
         self.faults = faults
-        self.retry = retry or RetryPolicy()
         self._handlers: Dict[str, Callable[[Message], Any]] = {}
         #: host -> (on_crash, on_restart) hooks that wipe a crashed
         #: host's state and drive its recovery.
@@ -134,7 +133,9 @@ class SimNetwork(Transport):
         if self.faults is None:
             self._account(message, messages=2)
             return handler(message)
-        return self._deliver_reliably(message, handler, roundtrip=True)
+        return self._deliver_reliably(
+            message, self._try_deliver, handler, True
+        )
 
     def one_way(self, message: Message, messages: int = 1) -> Any:
         """A one-message exchange (asynchronous forward at opt level 2)."""
@@ -149,39 +150,9 @@ class SimNetwork(Transport):
             return handler(message)
         # Under faults even "unacknowledged" sends ride the reliable
         # layer: without an ack there is no way to mask a loss.
-        return self._deliver_reliably(message, handler, roundtrip=False)
-
-    def _deliver_reliably(
-        self, message: Message, handler: Callable[[Message], Any], roundtrip: bool
-    ) -> Any:
-        """The ack/retry loop under faults, for every delivery kind:
-        ``handler`` is the destination's handler for a request or
-        one-way send, or :meth:`_enqueue` for a control transfer."""
-        self._stamp(message)
-        attempt = 0
-        waited = 0.0
-        while True:
-            delivered, result = self._try_deliver(message, handler, roundtrip)
-            if delivered:
-                return result
-            # The ack never came: wait out the retransmission timer.
-            timer = self.retry.timeout(attempt)
-            self.clock += timer
-            waited += timer
-            attempt += 1
-            if attempt > self.retry.max_retries or self.retry.past_deadline(
-                waited
-            ):
-                self._emit(
-                    "timeout", message.src, message.dst,
-                    f"{message.kind} #{message.msg_id} gave up after "
-                    f"{attempt} attempts ({waited:.3f}s of timers)",
-                )
-                raise DeliveryTimeoutError(message, attempt)
-            self._emit(
-                "retry", message.src, message.dst,
-                f"{message.kind} #{message.msg_id} attempt {attempt + 1}",
-            )
+        return self._deliver_reliably(
+            message, self._try_deliver, handler, False
+        )
 
     def _host_crashed(self, message: Message) -> None:
         """Bookkeeping for a crash at receipt of ``message``: the
@@ -207,9 +178,16 @@ class SimNetwork(Transport):
             hooks[1]()
 
     def _try_deliver(
-        self, message: Message, handler: Callable[[Message], Any], roundtrip: bool
+        self,
+        message: Message,
+        timer: float,
+        handler: Callable[[Message], Any],
+        roundtrip: bool,
     ) -> Tuple[bool, Any]:
-        """One transmission attempt; (False, None) means 'no ack'.  A
+        """One transmission attempt under faults; ``handler`` is the
+        destination's handler for a request or one-way send, or
+        :meth:`_enqueue` for a control transfer.  (False, None) means
+        'no ack', after ``timer`` simulated seconds on the clock.  A
         duplicated delivery runs ``handler`` twice (a control transfer
         lands in the inbox twice)."""
         faults = self.faults
@@ -222,19 +200,27 @@ class SimNetwork(Transport):
                 "drop", message.src, dst,
                 f"{message.kind} #{message.msg_id}: {dst} is down",
             )
-            return False, None
-        if faults.maybe_crash(dst, self.clock, message.kind):
+        elif faults.maybe_crash(dst, self.clock, message.kind):
             self._host_crashed(message)
-            return False, None
-        if faults.should_drop():
+        elif faults.should_drop():
             self._account(message, messages=1)
             self._emit(
                 "drop", message.src, dst,
                 f"{message.kind} #{message.msg_id} lost in transit",
             )
-            return False, None
-        self.clock += faults.jitter()
-        if roundtrip and faults.should_drop():
+        else:
+            self.clock += faults.jitter()
+            if not (roundtrip and faults.should_drop()):
+                self._account(message, messages=2 if roundtrip else 1)
+                result = handler(message)
+                if faults.should_duplicate():
+                    self.counts["messages"] += 1
+                    self._emit(
+                        "duplicate", message.src, dst,
+                        f"{message.kind} #{message.msg_id} delivered twice",
+                    )
+                    handler(message)
+                return True, result
             # The request arrived and was processed, but the reply was
             # lost: the receiver's duplicate suppression makes the
             # retransmission harmless.
@@ -244,17 +230,9 @@ class SimNetwork(Transport):
                 "drop", dst, message.src,
                 f"reply to {message.kind} #{message.msg_id} lost",
             )
-            return False, None
-        self._account(message, messages=2 if roundtrip else 1)
-        result = handler(message)
-        if faults.should_duplicate():
-            self.counts["messages"] += 1
-            self._emit(
-                "duplicate", message.src, dst,
-                f"{message.kind} #{message.msg_id} delivered twice",
-            )
-            handler(message)
-        return True, result
+        # The ack never came: wait out the retransmission timer.
+        self.clock += timer
+        return False, None
 
     # -- control transfers -------------------------------------------------------
 
@@ -268,7 +246,9 @@ class SimNetwork(Transport):
             self._account(message, messages=1)
             self._queue.append(message)
             return
-        self._deliver_reliably(message, self._enqueue, roundtrip=False)
+        self._deliver_reliably(
+            message, self._try_deliver, self._enqueue, False
+        )
 
     def _enqueue(self, message: Message) -> None:
         slot = self.faults.reorder_slot(len(self._queue))

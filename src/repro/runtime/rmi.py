@@ -8,12 +8,14 @@ Like the split-program hosts, RMI servers are *at-most-once* under the
 reliable-delivery protocol: when the network stamps messages with
 idempotency keys (fault injection enabled), a retransmitted or
 duplicated invocation is answered from the server's result table
-instead of re-running the method.
+instead of re-running the method.  The table is keyed by ``(src,
+msg_id)``, so a cached result only ever goes back to the caller that
+asked.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .faults import FaultInjector
 from .network import CostModel, Message, SimNetwork
@@ -28,7 +30,7 @@ class RMIServer:
         self.name = name
         self.network = network
         self._methods: Dict[str, Callable] = {}
-        self._seen_calls: Dict[int, Any] = {}
+        self._seen_calls: Dict[Tuple[str, int], Any] = {}
         network.register(name, self._dispatch)
 
     def expose(self, name: str, func: Callable) -> None:
@@ -43,16 +45,17 @@ class RMIServer:
         if message.kind != "rmi":
             raise ValueError(f"RMI host got {message.kind!r}")
         remote = message.src != self.name
+        key = (message.src, message.msg_id)
         if remote:
             self.network.charge_check()
             if message.msg_id is not None:
-                cached = self._seen_calls.get(message.msg_id, _UNSEEN)
+                cached = self._seen_calls.get(key, _UNSEEN)
                 if cached is not _UNSEEN:
                     return cached
         method = self._methods[message.payload["method"]]
         result = method(*message.payload["args"])
         if remote and message.msg_id is not None:
-            self._seen_calls[message.msg_id] = result
+            self._seen_calls[key] = result
         return result
 
 

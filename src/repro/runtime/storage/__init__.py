@@ -15,7 +15,6 @@ from .base import (
     DurabilityStats,
     StorageBackend,
     StorageError,
-    StorageRetryPolicy,
     StorageUnavailableError,
     TransientStorageError,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "StorageBackend",
     "StorageCodecError",
     "StorageError",
-    "StorageRetryPolicy",
     "StorageUnavailableError",
     "TransientStorageError",
     "advance_id_floors",

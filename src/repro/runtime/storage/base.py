@@ -14,8 +14,9 @@ Error taxonomy (the graceful-degradation contract):
 
 * :class:`TransientStorageError` — worth retrying (a locked/busy
   database).  The retry loop in
-  :class:`~repro.runtime.storage.sqlite_backend.SessionStorage` applies
-  a bounded :class:`StorageRetryPolicy` before giving up.
+  :class:`~repro.runtime.storage.sqlite_backend.SessionStorage` sleeps
+  on a bounded :class:`~repro.runtime.faults.RetryPolicy` schedule
+  before giving up.
 * :class:`StorageUnavailableError` — the durable tier cannot be used at
   all (missing sidecar, deleted directory, disk full at open).  A live
   session *degrades*: it detaches the backend, records a ``degraded``
@@ -31,7 +32,6 @@ so recovery fails closed exactly like the in-process path.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, Optional, Tuple
 
 
@@ -45,41 +45,6 @@ class TransientStorageError(StorageError):
 
 class StorageUnavailableError(StorageError):
     """The durable tier is absent or unusable; nothing to load from."""
-
-
-class StorageRetryPolicy:
-    """Bounded retry-with-backoff for transient storage errors.
-
-    Real wall-clock sleeps (this is actual I/O, not simulated time):
-    attempt ``n`` waits ``min(base_delay * backoff**n, max_delay)``
-    seconds, up to ``attempts`` retries before the error is treated as
-    hard and the session degrades.
-    """
-
-    def __init__(
-        self,
-        attempts: int = 5,
-        base_delay: float = 1e-3,
-        backoff: float = 2.0,
-        max_delay: float = 0.05,
-    ) -> None:
-        if attempts < 0:
-            raise ValueError("attempts must be non-negative")
-        if base_delay <= 0:
-            raise ValueError("base_delay must be positive")
-        if max_delay < base_delay:
-            raise ValueError("max_delay must be >= base_delay")
-        self.attempts = attempts
-        self.base_delay = base_delay
-        self.backoff = backoff
-        self.max_delay = max_delay
-
-    def delay(self, attempt: int) -> float:
-        """Seconds to wait before retry number ``attempt`` (0-based)."""
-        return min(self.base_delay * (self.backoff ** attempt), self.max_delay)
-
-    def sleep(self, attempt: int) -> None:
-        time.sleep(self.delay(attempt))
 
 
 class DurabilityStats:

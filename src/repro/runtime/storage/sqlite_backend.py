@@ -46,8 +46,8 @@ bit-identical to the fault-free oracle).  Any verification or decode failure rai
 :class:`~repro.runtime.checkpoint.CheckpointTamperError`.
 
 **Graceful degradation.**  Every backend operation funnels through
-:meth:`SessionStorage._run`: locked/busy errors retry under a bounded
-:class:`~repro.runtime.storage.base.StorageRetryPolicy`; exhaustion or
+:meth:`SessionStorage._run`: locked/busy errors retry on a bounded
+:class:`~repro.runtime.faults.RetryPolicy` schedule; exhaustion or
 any hard error (corrupt page, disk full, I/O error) *degrades* the
 storage — the connection closes, a ``degraded`` trace event is
 recorded, and the session keeps running on its authoritative in-memory
@@ -70,16 +70,20 @@ from itertools import count as _count
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..faults import RetryPolicy
 from . import codec
 from .base import (
     STATS,
     StorageBackend,
-    StorageRetryPolicy,
     StorageUnavailableError,
     TransientStorageError,
 )
 
 _SIDECAR_FORMAT = 1
+
+#: backoff for locked/busy databases, in real seconds slept (this is
+#: actual I/O, not simulated time).
+STORAGE_RETRY = RetryPolicy(base_timeout=1e-3, max_timeout=0.05, max_retries=5)
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS checkpoints (
@@ -113,12 +117,12 @@ class SessionStorage:
     def __init__(
         self,
         directory: str,
-        retry: Optional[StorageRetryPolicy] = None,
+        retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.directory = directory
         self.db_path = os.path.join(directory, "session.db")
         self.sidecar_path = os.path.join(directory, "sealed.json")
-        self.retry = retry or StorageRetryPolicy()
+        self.retry = retry or STORAGE_RETRY
         #: False once degraded: every further operation is a no-op.
         self.available = True
         self.degraded_reason: Optional[str] = None
@@ -210,9 +214,9 @@ class SessionStorage:
                 transient = isinstance(err, TransientStorageError) or (
                     "locked" in text or "busy" in text
                 )
-                if transient and attempt < self.retry.attempts:
+                if transient and attempt < self.retry.max_retries:
                     STATS.retries += 1
-                    self.retry.sleep(attempt)
+                    time.sleep(self.retry.timeout(attempt))
                     attempt += 1
                     continue
                 self._degrade(f"storage {op} failed: {err}")
@@ -489,7 +493,7 @@ def _read_all(storage: SessionStorage, sql: str, params=()):
 
 
 def open_for_rehydration(
-    directory: str, retry: Optional[StorageRetryPolicy] = None
+    directory: str,
 ) -> Tuple[SessionStorage, Dict[str, bytes], int]:
     """Open an existing storage directory for rehydration.
 
@@ -523,7 +527,7 @@ def open_for_rehydration(
         raise StorageUnavailableError(
             f"unreadable sealed sidecar: {error}"
         ) from error
-    storage = SessionStorage(directory, retry=retry)
+    storage = SessionStorage(directory)
     if not storage.available:
         raise StorageUnavailableError(
             f"cannot open database: {storage.degraded_reason}"
@@ -539,7 +543,6 @@ def rehydrate_session(
     directory: str,
     cost_model=None,
     opt_level: int = 1,
-    retry: Optional[StorageRetryPolicy] = None,
 ):
     """Rebuild a live :class:`~repro.runtime.session.Session` from a
     dead process's storage directory.
@@ -558,9 +561,7 @@ def rehydrate_session(
     from ..session import NO_STORAGE, RuntimeImage, Session
 
     started_at = perf_counter()
-    storage, keys, sidecar_boundary = open_for_rehydration(
-        directory, retry=retry
-    )
+    storage, keys, sidecar_boundary = open_for_rehydration(directory)
     try:
         journal_row = _read_one(
             storage, "SELECT boundary, blob, seal FROM journal WHERE id = 1"

@@ -17,7 +17,13 @@ per-process TCP backend in :mod:`repro.runtime.transport.tcp` — share:
   TrustedHost` programs against: ``request`` (synchronous round trip),
   ``one_way`` (single acknowledged message), ``post`` (queue a control
   transfer), ``pop_control`` (the session loop's feed), ``register``
-  (handler + crash/restart hooks).
+  (handler + crash/restart hooks);
+* the one reliable-delivery loop (:meth:`Transport._deliver_reliably`:
+  stamp, attempt, retransmission timer on the
+  :class:`~repro.runtime.faults.RetryPolicy` schedule, ``retry`` /
+  ``timeout`` events, :class:`DeliveryTimeoutError`).  A backend
+  supplies only its one-attempt function; duplicate suppression is the
+  receiver's job, keyed by ``(src, msg_id)``.
 
 The accounting lives in the base class on purpose: the simulated and
 the TCP backend must charge identically — a ``getField`` costs two
@@ -32,7 +38,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
+
+from ..faults import RetryPolicy
 
 #: Message kinds that transfer control (one message each).
 CONTROL_KINDS = ("rgoto", "lgoto")
@@ -172,8 +180,13 @@ class Transport:
     observables cannot depend on which wire carried the messages.
     """
 
-    def __init__(self, cost_model: Optional[CostModel] = None) -> None:
+    def __init__(
+        self,
+        cost_model: Optional[CostModel] = None,
+        retry: Optional[RetryPolicy] = None,
+    ) -> None:
         self.cost = cost_model or CostModel()
+        self.retry = retry or RetryPolicy()
         self.clock = 0.0
         #: time spent validating incoming requests (Section 7.3).
         self.check_time = 0.0
@@ -346,18 +359,63 @@ class Transport:
             self._seq[channel] += 1
             message.seq = self._seq[channel]
 
+    # -- reliable delivery -------------------------------------------------------
+
+    def _deliver_reliably(
+        self,
+        message: Message,
+        attempt_once: Callable[..., Tuple[bool, Any]],
+        *how: Any,
+    ) -> Any:
+        """The ack/retry loop, for every delivery kind on every backend.
+
+        ``attempt_once(message, timer, *how)`` makes one transmission
+        and returns ``(True, result)`` once acknowledged, or ``(False,
+        None)`` after ``timer`` seconds without an ack (simulated
+        seconds charged to the clock, or real seconds spent pumping a
+        socket).  Retransmissions carry the same ``msg_id``: the
+        receiver answers a re-presented ``(src, msg_id)`` from its
+        idempotency table instead of re-executing.
+        """
+        self._stamp(message)
+        attempt = 0
+        waited = 0.0
+        while True:
+            timer = self.retry.timeout(attempt)
+            delivered, result = attempt_once(message, timer, *how)
+            if delivered:
+                return result
+            waited += timer
+            attempt += 1
+            if attempt > self.retry.max_retries or self.retry.past_deadline(
+                waited
+            ):
+                self._emit(
+                    "timeout", message.src, message.dst,
+                    f"{message.kind} #{message.msg_id} gave up after "
+                    f"{attempt} attempts ({waited:.3f}s of timers)",
+                )
+                raise DeliveryTimeoutError(message, attempt)
+            self._emit(
+                "retry", message.src, message.dst,
+                f"{message.kind} #{message.msg_id} attempt {attempt + 1}",
+            )
+
     # -- reporting ------------------------------------------------------------------
 
     def table_counts(self) -> Dict[str, int]:
-        """The Table 1 accounting: round-trip kinds reported singly
-        (each costs two messages), control kinds as message counts."""
-        return {
-            "forward": self.counts.get("forward", 0),
-            "getField": self.counts.get("getField", 0),
-            "setField": self.counts.get("setField", 0),
-            "sync": self.counts.get("sync", 0),
-            "lgoto": self.counts.get("lgoto", 0),
-            "rgoto": self.counts.get("rgoto", 0),
-            "total_messages": self.counts.get("messages", 0),
-            "eliminated": self.eliminated_roundtrips,
-        }
+        return table_counts(self.counts, self.eliminated_roundtrips)
+
+
+def table_counts(counts: Mapping[str, int], eliminated: int) -> Dict[str, int]:
+    """The Table 1 row of both transports: round-trip kinds reported
+    singly (each costs two messages), control kinds as message
+    counts."""
+    row = {
+        kind: counts.get(kind, 0)
+        for kind in ("forward", "getField", "setField", "sync", "lgoto",
+                     "rgoto")
+    }
+    row["total_messages"] = counts.get("messages", 0)
+    row["eliminated"] = eliminated
+    return row

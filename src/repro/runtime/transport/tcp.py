@@ -20,12 +20,18 @@ space.  This backend puts the identical protocol on an actual wire:
 * **Envelope.**  Frames carry the existing reliable-delivery envelope:
   the per-message idempotency key (``msg_id``), the per-channel
   sequence number (``seq``), and — for control transfers — a separate
-  per-channel control sequence (``cseq``).  Requests are retransmitted
-  on an ack/retry timer (:class:`WireRetryPolicy`, real seconds this
-  time); receivers suppress duplicates (an in-flight or already-served
-  ``msg_id`` is never re-executed) and hold back out-of-order control
-  messages until the gap fills, so rgoto/lgoto arrive in program
-  order.  A message that exhausts its retry budget raises
+  per-channel control sequence (``cseq``).  Delivery runs the one
+  ack/retry loop every transport shares
+  (:meth:`~repro.runtime.transport.base.Transport._deliver_reliably`,
+  on the :data:`WIRE_RETRY` schedule in real seconds); this backend
+  supplies only the attempt: write the frame, pump until the reply or
+  the timer.  A message's ``src`` must be the peer that said ``hello``
+  on its connection.  Receivers ignore a retransmission whose first
+  execution is still running; any other retransmission reaches the
+  host, which answers a served ``(src, msg_id)`` from its idempotency
+  table — the one table, as in the simulation.  Out-of-order control
+  messages are held back until the gap fills, so rgoto/lgoto arrive in
+  program order.  A message that exhausts its retry budget raises
   :class:`~repro.runtime.transport.base.DeliveryTimeoutError` — fail
   closed, never answer wrong — with full (channel, seq, kind) context.
 
@@ -72,6 +78,7 @@ import time
 from collections import Counter, deque
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..faults import RetryPolicy
 from ..storage.codec import StorageCodecError, dumps, loads
 from .base import (
     CostModel,
@@ -79,14 +86,15 @@ from .base import (
     Message,
     SecurityAbort,
     Transport,
+    table_counts,
 )
 
 __all__ = [
     "FrameError",
     "HostEndpoint",
     "TcpRunResult",
+    "WIRE_RETRY",
     "WirePolicy",
-    "WireRetryPolicy",
     "frame_length",
     "parse_frame",
     "recv_frame",
@@ -186,46 +194,35 @@ class _Conn:
         return out
 
 
-def _frame(kind: str, message: Message) -> Dict[str, Any]:
-    """A ``req``/``post`` frame: the idempotency key plus the message
-    as codec text."""
-    return {"t": kind, "id": message.msg_id, "m": dumps(message)}
+def _frame(message: Message, cseq: Optional[int]) -> Dict[str, Any]:
+    """A ``req`` frame (or, with a control sequence number, a ``post``
+    frame): the idempotency key plus the message as codec text."""
+    if cseq is None:
+        return {"t": "req", "id": message.msg_id, "m": dumps(message)}
+    return {"t": "post", "id": message.msg_id, "m": dumps(message),
+            "cseq": cseq}
+
+
+def _abort_frame(msg_id: int, abort: SecurityAbort) -> Dict[str, Any]:
+    """The ``err`` frame answering a request the receiver refused with
+    :class:`SecurityAbort`; the sender re-raises it."""
+    return {
+        "t": "err", "id": msg_id, "code": "quarantine",
+        "offender": abort.offender, "victim": abort.victim,
+        "why": abort.why, "detail": str(abort),
+    }
 
 
 # ---------------------------------------------------------------------------
-# retry and fault hooks
+# retry schedule and fault hooks
 # ---------------------------------------------------------------------------
 
 
-class WireRetryPolicy:
-    """Real-time ack/retry budget for the TCP wire.
-
-    The shape mirrors :class:`~repro.runtime.faults.RetryPolicy`
-    (exponential backoff, bounded retries, an overall deadline), but
-    these are wall-clock seconds burned waiting on an actual socket,
-    not simulated charges.
-    """
-
-    def __init__(
-        self,
-        base_timeout: float = 1.0,
-        backoff: float = 2.0,
-        max_timeout: float = 8.0,
-        max_retries: int = 5,
-        deadline: float = 30.0,
-    ) -> None:
-        self.base_timeout = base_timeout
-        self.backoff = backoff
-        self.max_timeout = max_timeout
-        self.max_retries = max_retries
-        self.deadline = deadline
-
-    def timeout(self, attempt: int) -> float:
-        return min(self.base_timeout * (self.backoff ** attempt),
-                   self.max_timeout)
-
-    def past_deadline(self, waited: float) -> bool:
-        return waited >= self.deadline
+#: the ack/retry schedule of the TCP wire, in real seconds spent
+#: pumping a socket.
+WIRE_RETRY = RetryPolicy(
+    base_timeout=1.0, max_timeout=8.0, max_retries=5, deadline=30.0
+)
 
 
 class WirePolicy:
@@ -265,11 +262,11 @@ class HostEndpoint(Transport):
         listener: socket.socket,
         addr_map: Dict[str, Tuple[str, int]],
         cost_model: Optional[CostModel] = None,
-        retry: Optional[WireRetryPolicy] = None,
+        retry: Optional[RetryPolicy] = None,
         wire: Optional[WirePolicy] = None,
         msg_id_floor: int = 1,
     ) -> None:
-        super().__init__(cost_model)
+        super().__init__(cost_model, retry or WIRE_RETRY)
         self.name = name
         # Idempotency keys must be globally unique across the cluster
         # (the simulation gets this for free from its single shared
@@ -277,7 +274,6 @@ class HostEndpoint(Transport):
         # two hosts can never present the same key to one receiver.
         self._msg_ids = itertools.count(msg_id_floor)
         self.addr_map = dict(addr_map)
-        self.retry = retry or WireRetryPolicy()
         #: test-only outbound fault hook (None in production).
         self.wire = wire
         self._handler = None
@@ -289,14 +285,12 @@ class HostEndpoint(Transport):
         self._out: Dict[str, _Conn] = {}
         #: replies/acks/errors keyed by msg_id, filled by the pump.
         self._replies: Dict[int, Dict[str, Any]] = {}
-        #: request idempotency at the transport layer: already-served
-        #: msg_id -> reply frame (retransmissions re-send the cached
-        #: reply) and the set of msg_ids whose first execution is still
-        #: on the stack (retransmissions of those are ignored — the
-        #: reply goes out when the original finishes).  The TrustedHost
-        #: keeps its own ``_seen_requests`` table on top; this layer
-        #: exists so *no* handler is ever re-entered for a duplicate.
-        self._served: Dict[int, Dict[str, Any]] = {}
+        #: (src, msg_id) of requests whose first execution is still on
+        #: the stack: a retransmission of one of those is ignored (the
+        #: reply goes out when the original finishes).  Only a socket
+        #: can re-enter a handler mid-execution; a retransmission of a
+        #: served request reaches the handler, which answers it from
+        #: its own idempotency table.
         self._serving: set = set()
         #: control-transfer ordering: outbound per-channel control
         #: sequence, inbound next-expected per source, and the holdback
@@ -417,7 +411,10 @@ class HostEndpoint(Transport):
         self, frame: Dict[str, Any], conn: _Conn
     ) -> Optional[Message]:
         """The message a ``req``/``post`` frame carries, or None after
-        auditing a bad frame and answering it with ``bad-request``."""
+        answering it with an error: ``bad-request`` (audited) for a
+        bad frame or a message whose ``src`` is not the peer that said
+        ``hello`` on this connection, ``quarantine`` for a message
+        from a quarantined sender."""
         try:
             message = loads(frame.get("m"))
             if not isinstance(message, Message):
@@ -430,6 +427,13 @@ class HostEndpoint(Transport):
                 type(frame.get("cseq")) is int and frame["cseq"] >= 1
             ):
                 raise StorageCodecError("control sequence is not an int")
+            if message.src != conn.peer:
+                # The receiver's idempotency table is keyed by (src,
+                # msg_id): a src the connection does not speak for
+                # could collect another host's cached reply.
+                raise StorageCodecError(
+                    f"src {message.src!r} on {conn.peer!r}'s connection"
+                )
         except StorageCodecError as error:
             detail = f"undecodable {frame['t']}: {error}"
             self.audit(self.name, detail)
@@ -437,6 +441,11 @@ class HostEndpoint(Transport):
                 "t": "err", "id": frame.get("id"), "code": "bad-request",
                 "detail": detail,
             })
+            return None
+        try:
+            self._check_quarantine(message)
+        except SecurityAbort as abort:
+            self._write(conn, _abort_frame(message.msg_id, abort))
             return None
         return message
 
@@ -446,10 +455,6 @@ class HostEndpoint(Transport):
             return
         msg_id = message.msg_id
         dedup_key = (message.src, msg_id)
-        cached = self._served.get(dedup_key)
-        if cached is not None:
-            self._write(conn, cached)
-            return
         if dedup_key in self._serving:
             # Retransmission of a request whose first execution is
             # still running: the reply goes out when it finishes.
@@ -459,11 +464,7 @@ class HostEndpoint(Transport):
             try:
                 result = self._handler(message)
             except SecurityAbort as abort:
-                reply = {
-                    "t": "err", "id": msg_id, "code": "quarantine",
-                    "offender": abort.offender, "victim": abort.victim,
-                    "why": abort.why, "detail": str(abort),
-                }
+                reply = _abort_frame(msg_id, abort)
             else:
                 try:
                     reply = {"t": "rep", "id": msg_id, "r": dumps(result)}
@@ -474,7 +475,6 @@ class HostEndpoint(Transport):
                     }
         finally:
             self._serving.discard(dedup_key)
-        self._served[dedup_key] = reply
         self._write(conn, reply)
 
     def _serve_post(self, frame: Dict[str, Any], conn: _Conn) -> None:
@@ -507,85 +507,68 @@ class HostEndpoint(Transport):
         if message.src == message.dst:
             raise KeyError(f"unknown host {message.dst!r}")
         self._check_quarantine(message)
-        self._stamp(message)
         self._account(message, messages=2)
-        return self._exchange(message, _frame("req", message))
+        return self._deliver_reliably(message, self._attempt, None)
 
     def one_way(self, message: Message, messages: int = 1) -> Any:
         if message.dst == self.name:
             return self._handler(message)
         self._check_quarantine(message)
-        self._stamp(message)
         self._account(message, messages=messages)
-        return self._exchange(message, _frame("req", message))
+        return self._deliver_reliably(message, self._attempt, None)
 
     def post(self, message: Message) -> None:
         if message.src == message.dst:
             self._queue.append(message)
             return
         self._check_quarantine(message)
-        self._stamp(message)
         self._account(message, messages=1)
         channel = (message.src, message.dst)
         self._ctrl_out[channel] += 1
-        frame = _frame("post", message)
-        frame["cseq"] = self._ctrl_out[channel]
-        self._exchange(message, frame)
+        self._deliver_reliably(message, self._attempt, self._ctrl_out[channel])
 
-    def _exchange(self, message: Message, frame: Dict[str, Any]) -> Any:
-        """Send ``frame`` and pump until its reply/ack arrives,
-        retransmitting on the retry schedule; serves incoming frames
-        while waiting (nested chains re-enter here recursively)."""
-        msg_id = message.msg_id
-        conn = self._dial(message.dst)
-        self._write(conn, frame)
-        attempt = 0
-        waited = 0.0
-        while True:
-            timer = self.retry.timeout(attempt)
-            deadline = time.monotonic() + timer
-            while msg_id not in self._replies:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self.pump(remaining)
-            reply = self._replies.pop(msg_id, None)
-            if reply is not None:
-                return self._consume_reply(message, reply)
-            waited += timer
-            attempt += 1
-            if attempt > self.retry.max_retries or self.retry.past_deadline(
-                waited
-            ):
-                self._emit(
-                    "timeout", message.src, message.dst,
-                    f"{message.kind} #{msg_id} gave up after "
-                    f"{attempt} attempts ({waited:.3f}s on the wire)",
-                )
-                raise DeliveryTimeoutError(message, attempt)
-            self._emit(
-                "retry", message.src, message.dst,
-                f"{message.kind} #{msg_id} attempt {attempt + 1}",
-            )
-            conn = self._dial(message.dst)
-            self._write(conn, frame)
+    def _attempt(
+        self, message: Message, timer: float, cseq: Optional[int]
+    ) -> Tuple[bool, Any]:
+        """One transmission: write the frame, then pump — serving
+        incoming frames, so nested chains re-enter here recursively —
+        until its reply/ack arrives or ``timer`` seconds run out."""
+        self._write(self._dial(message.dst), _frame(message, cseq))
+        deadline = time.monotonic() + timer
+        while message.msg_id not in self._replies:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return False, None
+            self.pump(remaining)
+        reply = self._replies.pop(message.msg_id)
+        return True, self._consume_reply(message, reply)
 
     def _consume_reply(self, message: Message, reply: Dict[str, Any]) -> Any:
         if reply["t"] == "ack":
             return None
-        if reply["t"] == "err":
-            code = reply.get("code")
-            if code == "quarantine":
-                raise SecurityAbort(
-                    reply.get("offender"), reply.get("victim"),
-                    reply.get("why", reply.get("detail", "remote abort")),
-                    message=message,
+        if reply["t"] == "rep":
+            try:
+                return loads(reply.get("r"))
+            except StorageCodecError as error:
+                # A reply that does not decode fails closed like a
+                # remote error, never as a bare decoding exception.
+                detail = f"undecodable rep: {error}"
+                self.audit(
+                    self.name,
+                    f"{message.kind} #{message.msg_id} from {message.dst}: "
+                    f"{detail}",
                 )
-            raise RuntimeError(
-                f"remote error from {message.dst}: "
-                f"{reply.get('code')}: {reply.get('detail')}"
+                reply = {"code": "bad-reply", "detail": detail}
+        code = reply.get("code")
+        if code == "quarantine":
+            raise SecurityAbort(
+                reply.get("offender"), reply.get("victim"),
+                reply.get("why", reply.get("detail", "remote abort")),
+                message=message,
             )
-        return loads(reply["r"])
+        raise RuntimeError(
+            f"remote error from {message.dst}: {code}: {reply.get('detail')}"
+        )
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -651,17 +634,7 @@ class TcpRunResult:
 
     @property
     def counts(self) -> Dict[str, int]:
-        merged = self._merged
-        return {
-            "forward": merged.get("forward", 0),
-            "getField": merged.get("getField", 0),
-            "setField": merged.get("setField", 0),
-            "sync": merged.get("sync", 0),
-            "lgoto": merged.get("lgoto", 0),
-            "rgoto": merged.get("rgoto", 0),
-            "total_messages": merged.get("messages", 0),
-            "eliminated": self.eliminated,
-        }
+        return table_counts(self._merged, self.eliminated)
 
     def observables(self) -> Dict[str, Any]:
         """Bit-comparable to :meth:`Session.observables`: same keys,

@@ -6,7 +6,16 @@ each attempt (and log it for auditing)."""
 
 import pytest
 
-from repro.runtime import Adversary, FrameID, Message, RuntimeImage, Session
+from repro.runtime import (
+    Adversary,
+    FaultInjector,
+    FaultPolicy,
+    FrameID,
+    Message,
+    RuntimeImage,
+    SecurityAbort,
+    Session,
+)
 from repro.runtime.values import REJECTED
 from repro.splitter import split_source
 
@@ -199,6 +208,40 @@ class TestRecoveryAttacks:
         adversary.try_checkpoint_rollback("T")
         adversary.try_fake_recovery("A")
         assert adversary.all_rejected(), adversary.accepted()
+
+
+class TestReplayAttacks:
+    """Idempotency keys are per sender: re-using another host's
+    ``msg_id`` earns no cached reply."""
+
+    def test_reused_msg_id_gets_no_cached_token(self):
+        split = split_source(OT_SOURCE, config_abt()).split
+        # A zero-probability injector: every message is stamped with a
+        # msg_id, nothing is ever dropped.
+        session = Session(
+            RuntimeImage.for_split(split),
+            faults=FaultInjector(FaultPolicy(), seed=0),
+        )
+        session.run()
+        sync = next(
+            m for m in session.network.message_log
+            if m.kind == "sync" and (m.src, m.dst) == ("A", "T")
+        )
+        adversary = Adversary(session, "B")
+        audits = len(session.network.audit_log)
+        probe = Message(
+            "getField", "B", "T",
+            {"cls": "Nope", "field": "nope", "digest": split.digest},
+            msg_id=sync.msg_id,
+        )
+        with pytest.raises(SecurityAbort) as info:
+            session.network.request(probe)
+        assert info.value.offender == "B" and info.value.victim == "T"
+        assert session.network.audit_log[audits:] == [
+            "T: getField for absent field ('Nope', 'nope')",
+            "T: quarantining B: getField from B rejected by T",
+        ]
+        assert adversary.network.quarantined == {"B"}
 
 
 class TestPingPongAttacks:

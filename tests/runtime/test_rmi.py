@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.runtime import CostModel
+from repro.runtime import CostModel, FaultInjector, FaultPolicy
+from repro.runtime.network import Message
 from repro.runtime.rmi import RMISystem
 
 
@@ -66,3 +67,24 @@ class TestRMI:
     def test_remote_calls_charge_checks(self, system):
         system.call("C", "S", "get")
         assert system.network.check_time > 0
+
+    def test_result_table_is_keyed_by_caller(self):
+        """A cached result goes back only to the caller that asked: the
+        same msg_id from another caller runs the method."""
+        system = RMISystem(faults=FaultInjector(FaultPolicy(), seed=0))
+        calls = []
+        server = system.host("S")
+        server.expose("bump", lambda: calls.append(1) or len(calls))
+        system.host("C")
+        system.host("D")
+
+        def call(src):
+            return system.network.request(
+                Message("rmi", src, "S", {"method": "bump", "args": ()},
+                        msg_id=5)
+            )
+
+        assert call("C") == 1
+        assert call("C") == 1  # retransmission: answered from the table
+        assert call("D") == 2
+        assert len(calls) == 2

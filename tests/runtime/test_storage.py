@@ -45,7 +45,6 @@ from repro.runtime.storage import (
     SessionStorage,
     StorageBackend,
     StorageCodecError,
-    StorageRetryPolicy,
     StorageUnavailableError,
     advance_id_floors,
     codec,
@@ -589,7 +588,7 @@ class TestGracefulDegradation:
         session, storage = storage_session(
             split,
             str(tmp_path / "busy"),
-            retry=StorageRetryPolicy(attempts=3, base_delay=1e-5),
+            retry=RetryPolicy(base_timeout=1e-5, max_retries=3),
         )
         injector = StorageFaultInjector(
             StorageFaultPolicy(busy_prob=0.5), seed=3
@@ -606,17 +605,21 @@ class TestGracefulDegradation:
         finally:
             storage.close()
 
-    def test_retry_policy_validation_and_backoff(self):
+    def test_retry_policy_validation_and_backoff(self, tmp_path):
+        """Storage backs off on the one RetryPolicy schedule: 1 ms
+        doubling to a 50 ms cap, five retries."""
         with pytest.raises(ValueError):
-            StorageRetryPolicy(attempts=-1)
+            RetryPolicy(max_retries=-1)
         with pytest.raises(ValueError):
-            StorageRetryPolicy(base_delay=1e-2, max_delay=1e-3)
-        policy = StorageRetryPolicy(
-            attempts=5, base_delay=1e-3, backoff=2.0, max_delay=3e-3
-        )
-        assert policy.delay(0) == pytest.approx(1e-3)
-        assert policy.delay(1) == pytest.approx(2e-3)
-        assert policy.delay(10) == 3e-3
+            RetryPolicy(base_timeout=1e-2, max_timeout=1e-3)
+        storage = SessionStorage(str(tmp_path / "default"))
+        policy = storage.retry
+        storage.close()
+        assert isinstance(policy, RetryPolicy)
+        assert policy.max_retries == 5
+        assert policy.timeout(0) == pytest.approx(1e-3)
+        assert policy.timeout(1) == pytest.approx(2e-3)
+        assert policy.timeout(10) == 0.05
 
 
 class TestStorageFaultSweep:
